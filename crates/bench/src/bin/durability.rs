@@ -35,8 +35,8 @@ use std::time::{Duration, Instant};
 
 use tart_bench::{json_f64, print_table, quick_mode};
 use tart_engine::{
-    Cluster, ClusterConfig, DurabilityPolicy, FsyncPolicy, Histogram, ObsHub, OutputRecord,
-    Placement, Wal, BUFFERED_MAX_RECORDS,
+    Cluster, ClusterConfig, DurabilityPolicy, Histogram, ObsHub, OutputRecord, Placement, Wal,
+    BUFFERED_MAX_RECORDS,
 };
 use tart_estimator::EstimatorSpec;
 use tart_model::{
@@ -59,9 +59,9 @@ fn lane_bench(tier: DurabilityPolicy, label: &str, n: usize) -> (f64, Histogram)
     std::fs::remove_dir_all(&dir).ok();
     let body = [0xA5u8; 64];
     let hub = Arc::new(ObsHub::new());
-    // FsyncPolicy::Never so the only syncs are the ones the lane itself
-    // demands — exactly what the tier contract prices.
-    let mut wal = Wal::create(&dir, 4 << 20, FsyncPolicy::Never).expect("create wal");
+    // The WAL has no policy of its own: the only syncs are the ones the
+    // lane demands — exactly what the tier contract prices.
+    let mut wal = Wal::create(&dir, 4 << 20).expect("create wal");
     wal.set_obs(Arc::clone(&hub));
     let t0 = Instant::now();
     for _ in 0..n {
@@ -182,7 +182,7 @@ fn mixed_config(spec: &AppSpec, dir: &std::path::Path) -> ClusterConfig {
     let id = |name: &str| -> ComponentId { spec.component_by_name(name).expect("exists").id() };
     let mut config = ClusterConfig::logical_time()
         .with_checkpoint_every(4)
-        .with_durability(dir, FsyncPolicy::Always)
+        .with_durability(dir, DurabilityPolicy::Strict)
         .with_component_tier(id("Ledger"), DurabilityPolicy::Strict)
         .with_component_tier(
             id("Ingest"),

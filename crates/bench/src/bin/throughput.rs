@@ -10,11 +10,12 @@
 //!    with component state (the classic mistake is an O(state) hash or
 //!    scan on the delivery path) drives it toward zero, while honest
 //!    O(1) per-message work keeps it near 1 regardless of host speed.
-//! 2. **TCP loopback** — envelopes/sec over a real socket, one frame per
-//!    envelope (`write_frame`/`read_frame`) vs the batch frame
-//!    (`write_batch`/`read_batch`, 64 envelopes per `write_all`).
-//! 3. **WAL appends** — records/sec under `FsyncPolicy::Always` (one
-//!    `sync_all` per record) vs `GroupCommit` (one per 64-record window).
+//! 2. **TCP loopback** — envelopes/sec over a real socket, one-envelope
+//!    batch frames vs 64-envelope batch frames (`write_batch`/`read_batch`,
+//!    one `write_all` per frame either way).
+//! 3. **WAL appends** — records/sec on the `Strict` lane (one `sync_all`
+//!    per record) vs the `Buffered { flush_window: 5ms }` lane (one per
+//!    commit window).
 //! 4. **Checkpoint bytes** — serialized size of a full `CkptMap` snapshot
 //!    vs the incremental delta after touching a few keys.
 //!
@@ -35,8 +36,10 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use tart_bench::{json_f64, print_table, quick_mode};
-use tart_engine::net::{read_batch, read_frame, write_batch, write_frame};
-use tart_engine::{Cluster, ClusterConfig, Envelope, FsyncPolicy, Placement, Wal};
+use tart_engine::net::{read_batch, write_batch};
+use tart_engine::{
+    Cluster, ClusterConfig, DurabilityPolicy, Envelope, Placement, Wal, BUFFERED_MAX_RECORDS,
+};
 use tart_estimator::EstimatorSpec;
 use tart_model::reference::{self, fan_in_app};
 use tart_model::{BlockId, CheckpointMode, CkptMap, Value};
@@ -45,10 +48,9 @@ use tart_vtime::{EngineId, VirtualTime, WireId};
 /// Envelopes per batch frame on the TCP path (mirrors the writer thread's
 /// drain cap order of magnitude; 64 is a typical busy-link fill).
 const BATCH: usize = 64;
-/// Group-commit window used for the WAL comparison.
-const GROUP: FsyncPolicy = FsyncPolicy::GroupCommit {
-    max_records: 64,
-    max_delay: Duration::from_millis(5),
+/// Group-commit lane used for the WAL comparison.
+const GROUP: DurabilityPolicy = DurabilityPolicy::Buffered {
+    flush_window: Duration::from_millis(5),
 };
 
 fn main() {
@@ -84,12 +86,21 @@ fn main() {
                 "pipeline scaling (sustained/short)".into(),
                 format!("{pipeline_scaling:.2}"),
             ],
-            vec!["tcp unbatched env/sec".into(), format!("{unbatched:.0}")],
-            vec!["tcp batched env/sec".into(), format!("{batched:.0}")],
-            vec!["tcp batching speedup".into(), format!("{tcp_speedup:.2}x")],
-            vec!["wal Always appends/sec".into(), format!("{wal_always:.0}")],
             vec![
-                "wal GroupCommit appends/sec".into(),
+                "tcp 1-envelope frames env/sec".into(),
+                format!("{unbatched:.0}"),
+            ],
+            vec![
+                "tcp 64-envelope frames env/sec".into(),
+                format!("{batched:.0}"),
+            ],
+            vec!["tcp batching speedup".into(), format!("{tcp_speedup:.2}x")],
+            vec![
+                "wal Strict lane appends/sec".into(),
+                format!("{wal_always:.0}"),
+            ],
+            vec![
+                "wal Buffered lane appends/sec".into(),
                 format!("{wal_group:.0}"),
             ],
             vec![
@@ -135,7 +146,7 @@ fn main() {
              \"tcp_batch_size\": {BATCH},\n  \"tcp_speedup\": {tcp_speedup:.2},\n  \
              \"wal_always_appends_per_sec\": {wal_always:.0},\n  \
              \"wal_group_commit_appends_per_sec\": {wal_group:.0},\n  \
-             \"wal_group_max_records\": 64,\n  \"wal_group_max_delay_ms\": 5,\n  \
+             \"wal_group_max_records\": {BUFFERED_MAX_RECORDS},\n  \"wal_group_max_delay_ms\": 5,\n  \
              \"wal_speedup\": {wal_speedup:.2},\n  \
              \"checkpoint_full_bytes\": {full_bytes},\n  \
              \"checkpoint_delta_bytes\": {delta_bytes},\n  \
@@ -230,65 +241,50 @@ fn sample_envelope(i: usize) -> Envelope {
     }
 }
 
-/// Envelopes/sec over a loopback socket: per-envelope frames vs batch
-/// frames. The sink thread counts what it decodes; the measurement covers
-/// connect → last byte acknowledged by the reader.
+/// Envelopes/sec over a loopback socket: one-envelope batch frames vs
+/// [`BATCH`]-envelope batch frames. The sink thread counts what it decodes;
+/// the measurement covers connect → last byte acknowledged by the reader.
 fn tcp_loopback(envelopes: usize) -> (f64, f64) {
     // Best of three: loopback throughput is at the mercy of the scheduler
     // (one bad core migration can triple a run), and the baseline gate
     // compares ratios of these numbers.
-    let best = |batched: bool, produce: fn(&mut TcpStream, usize)| -> f64 {
+    let best = |per_frame: usize| -> f64 {
         (0..3)
-            .map(|_| tcp_run(envelopes, batched, produce))
+            .map(|_| tcp_run(envelopes, per_frame))
             .fold(0.0f64, f64::max)
     };
-    let unbatched = best(false, |stream, n| {
-        let target = EngineId::new(1);
-        for i in 0..n {
-            write_frame(stream, target, &sample_envelope(i)).expect("frame write");
-        }
-    });
-    let batched = best(true, |stream, n| {
-        let target = EngineId::new(1);
-        let mut scratch = BytesMut::with_capacity(8192);
-        let mut batch = Vec::with_capacity(BATCH);
-        let mut sent = 0;
-        while sent < n {
-            batch.clear();
-            while batch.len() < BATCH && sent + batch.len() < n {
-                batch.push((target, sample_envelope(sent + batch.len())));
-            }
-            sent += batch.len();
-            write_batch(stream, &batch, &mut scratch).expect("batch write");
-        }
-    });
-    (unbatched, batched)
+    (best(1), best(BATCH))
 }
 
-/// Runs one TCP producer/sink pair; returns envelopes/sec. `batched` tells
-/// the sink which framing to decode.
-fn tcp_run(envelopes: usize, batched: bool, produce: impl FnOnce(&mut TcpStream, usize)) -> f64 {
+/// Runs one TCP producer/sink pair sending `per_frame` envelopes per batch
+/// frame; returns envelopes/sec.
+fn tcp_run(envelopes: usize, per_frame: usize) -> f64 {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("addr");
     let sink = std::thread::spawn(move || {
         let (mut conn, _) = listener.accept().expect("accept");
         conn.set_nodelay(true).ok();
         let mut seen = 0usize;
-        if batched {
-            while let Ok(Some(batch)) = read_batch(&mut conn) {
-                seen += batch.len();
-            }
-        } else {
-            while let Ok(Some(_)) = read_frame(&mut conn) {
-                seen += 1;
-            }
+        while let Ok(Some(batch)) = read_batch(&mut conn) {
+            seen += batch.len();
         }
         seen
     });
     let mut stream = TcpStream::connect(addr).expect("connect loopback");
     stream.set_nodelay(true).expect("nodelay");
     let start = Instant::now();
-    produce(&mut stream, envelopes);
+    let target = EngineId::new(1);
+    let mut scratch = BytesMut::with_capacity(8192);
+    let mut batch = Vec::with_capacity(per_frame);
+    let mut sent = 0;
+    while sent < envelopes {
+        batch.clear();
+        while batch.len() < per_frame && sent + batch.len() < envelopes {
+            batch.push((target, sample_envelope(sent + batch.len())));
+        }
+        sent += batch.len();
+        write_batch(&mut stream, &batch, &mut scratch).expect("batch write");
+    }
     stream.flush().expect("flush");
     drop(stream);
     let seen = sink.join().expect("sink thread");
@@ -300,16 +296,17 @@ fn tcp_run(envelopes: usize, batched: bool, produce: impl FnOnce(&mut TcpStream,
     seen as f64 / secs
 }
 
-/// Appends/sec under per-record fsync vs group commit, same record size.
+/// Appends/sec on the per-record-fsync lane vs the group-commit lane,
+/// same record size.
 fn wal_appends(records: usize) -> (f64, f64) {
     let body = [0x5au8; 64];
-    let run = |policy: FsyncPolicy, tag: &str| -> f64 {
+    let run = |lane: DurabilityPolicy, tag: &str| -> f64 {
         let dir = std::env::temp_dir().join(format!("tart-bench-wal-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let mut wal = Wal::create(&dir, u64::MAX, policy).expect("create wal");
+        let mut wal = Wal::create(&dir, u64::MAX).expect("create wal");
         let start = Instant::now();
         for _ in 0..records {
-            wal.append(&body).expect("append");
+            wal.append_lane(&body, lane).expect("append");
         }
         wal.sync().expect("final sync");
         let secs = start.elapsed().as_secs_f64();
@@ -317,7 +314,7 @@ fn wal_appends(records: usize) -> (f64, f64) {
         std::fs::remove_dir_all(&dir).ok();
         records as f64 / secs
     };
-    (run(FsyncPolicy::Always, "always"), run(GROUP, "group"))
+    (run(DurabilityPolicy::Strict, "always"), run(GROUP, "group"))
 }
 
 /// Serialized bytes of a full `CkptMap` snapshot vs the delta after

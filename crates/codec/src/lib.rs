@@ -10,7 +10,8 @@
 //! * LEB128 varints for integers, zig-zag for signed values;
 //! * map encodings sorted by key, so logically equal states produce equal
 //!   bytes regardless of hash-map iteration order;
-//! * [`crc32`] — the checksum used by the append-only message log.
+//! * [`crc32`] and the [`frame`] module — the `len | crc | body` frame
+//!   every log, checkpoint file and TCP batch is written in.
 //!
 //! # Example
 //!
@@ -33,6 +34,7 @@
 
 mod crc;
 mod error;
+pub mod frame;
 mod primitives;
 mod reader;
 mod varint;

@@ -75,10 +75,10 @@ pub use tart_vtime;
 pub use tart_engine::{
     check_report, write_report, ChaosEvent, ChaosHandle, ChaosOptions, ChaosPlan, ChaosReport,
     CheckpointStore, Cluster, ClusterConfig, DeployError, DiskFault, DurabilityConfig,
-    EngineMetrics, EngineRecovery, FailureDetector, FaultPlan, FsyncPolicy, Injector, LogicalClock,
-    MessageLog, ObsEvent, ObsEventKind, ObsHub, ObsSnapshot, OutputRecord, Placement, RealClock,
-    RecoveryReport, ReplicaStore, ReportRequirements, SupervisionConfig, SupervisionMetrics,
-    TimeSource, Wal,
+    DurabilityPolicy, EngineMetrics, EngineRecovery, FailureDetector, FaultPlan, Injector,
+    LogicalClock, MessageLog, ObsEvent, ObsEventKind, ObsHub, ObsSnapshot, OutputRecord, Placement,
+    RealClock, RecoveryReport, ReplicaStore, ReportRequirements, SupervisionConfig,
+    SupervisionMetrics, TimeSource, Wal,
 };
 pub use tart_estimator::{
     Calibrator, DeterminismFault, Estimator, EstimatorSchedule, EstimatorSpec,

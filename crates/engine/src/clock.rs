@@ -25,20 +25,20 @@ pub trait TimeSource: Send + Sync {
     fn now(&self) -> VirtualTime;
 
     /// Ensures subsequent [`TimeSource::now`] calls return strictly more
-    /// than `vt`. Cold restart uses this to move a deterministic clock past
-    /// the last timestamp recovered from the log, so re-driven external
-    /// sends reproduce the timestamps of an uncrashed run. Clocks that
-    /// cannot regress (like [`RealClock`]) need not do anything.
-    fn advance_to(&self, vt: VirtualTime) {
-        let _ = vt;
-    }
+    /// than `vt`. Cold restart uses this to move the clock past the last
+    /// timestamp recovered from the log, so new external sends are stamped
+    /// after every input already logged, on every wire.
+    fn advance_to(&self, vt: VirtualTime);
 }
 
 /// Monotonic wall-clock time, measured from the moment the clock was
-/// created.
-#[derive(Clone, Debug)]
+/// created and shifted forward by [`TimeSource::advance_to`].
+#[derive(Debug)]
 pub struct RealClock {
     epoch: Instant,
+    /// Ticks added to the elapsed time. Only ever raised, so `now()` stays
+    /// monotone.
+    offset: AtomicU64,
 }
 
 impl RealClock {
@@ -48,6 +48,23 @@ impl RealClock {
         RealClock {
             // tart-lint: allow(WALLCLOCK) -- RealClock *is* the sanctioned boundary: §II.E logs the stamp, so replay reads the log, not the clock
             epoch: Instant::now(),
+            offset: AtomicU64::new(0),
+        }
+    }
+
+    fn elapsed_ticks(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+}
+
+/// A clone reads the same time as the original at the moment of cloning;
+/// later [`TimeSource::advance_to`] calls move only the clock they are
+/// made on. Share one clock through an `Arc` to share one timeline.
+impl Clone for RealClock {
+    fn clone(&self) -> Self {
+        RealClock {
+            epoch: self.epoch,
+            offset: AtomicU64::new(self.offset.load(Ordering::Relaxed)),
         }
     }
 }
@@ -60,7 +77,21 @@ impl Default for RealClock {
 
 impl TimeSource for RealClock {
     fn now(&self) -> VirtualTime {
-        VirtualTime::from_ticks(self.epoch.elapsed().as_nanos() as u64)
+        // Relaxed: the offset publishes no other data, and each atomic is
+        // coherent on its own, so a reader never sees it go backwards.
+        let offset = self.offset.load(Ordering::Relaxed);
+        VirtualTime::from_ticks(self.elapsed_ticks().saturating_add(offset))
+    }
+
+    /// Raises the offset so that time keeps its real-time pace but starts
+    /// past `vt`: a fresh clock after a cold restart stamps new inputs
+    /// after everything already logged, spaced as they were sent.
+    fn advance_to(&self, vt: VirtualTime) {
+        let needed = vt
+            .as_ticks()
+            .saturating_add(1)
+            .saturating_sub(self.elapsed_ticks());
+        self.offset.fetch_max(needed, Ordering::Relaxed);
     }
 }
 
@@ -175,10 +206,21 @@ mod tests {
         // advance_to never regresses.
         c.advance_to(VirtualTime::from_ticks(100));
         assert_eq!(c.now(), VirtualTime::from_ticks(5_000));
-        // RealClock accepts (and ignores) the hint.
+    }
+
+    #[test]
+    fn advance_to_moves_a_fresh_real_clock_past_the_log() {
         let r = RealClock::new();
+        let logged = VirtualTime::from_ticks(3_600_000_000_000);
+        r.advance_to(logged);
+        let a = r.now();
+        assert!(a > logged, "a fresh clock stamps past the log");
+        // A clone starts on the shifted timeline, and it keeps moving.
+        let b = r.clone().now();
+        assert!(b >= a);
+        // advance_to never regresses.
         r.advance_to(VirtualTime::from_ticks(1));
-        let _ = r.now();
+        assert!(r.now() >= b);
     }
 
     #[test]

@@ -36,8 +36,6 @@ const BATCH_LIMIT: usize = 128;
 pub enum DeployError {
     /// The placement does not assign every component.
     IncompletePlacement,
-    /// The configured log file could not be created.
-    LogUnavailable,
     /// [`Cluster::deploy`] with durability found prior on-disk state in the
     /// durability directory. Starting fresh over old state would silently
     /// orphan a recoverable run — use [`Cluster::recover_from_disk`], or
@@ -56,12 +54,6 @@ impl fmt::Display for DeployError {
         match self {
             DeployError::IncompletePlacement => {
                 write!(f, "placement does not cover every component")
-            }
-            DeployError::LogUnavailable => {
-                write!(
-                    f,
-                    "the configured external-input log file could not be created"
-                )
             }
             DeployError::DurabilityDirNotEmpty => {
                 write!(
@@ -331,35 +323,32 @@ impl EngineHost {
     /// **strictest** tier across its hosted components (one Strict
     /// component on an engine pins the whole engine's checkpoints to
     /// fsynced persists — engines checkpoint atomically, so the plane
-    /// cannot split one engine's generation across tiers). `None` — the
-    /// legacy always-durable path — when durability is off or any hosted
-    /// component resolves to no tier.
-    fn engine_tier(&self, engine: EngineId) -> Option<DurabilityPolicy> {
-        let d = self.config.durability.as_ref()?;
-        let mut tier: Option<DurabilityPolicy> = None;
-        for c in self.placement.components_on(engine) {
-            match d.tier_for(c, Some(engine)) {
-                Some(t) => tier = Some(tier.map_or(t, |cur| cur.max(t))),
-                None => return None,
-            }
-        }
-        tier
+    /// cannot split one engine's generation across tiers).
+    fn engine_tier(&self, d: &DurabilityConfig, engine: EngineId) -> DurabilityPolicy {
+        self.placement
+            .components_on(engine)
+            .into_iter()
+            .map(|c| d.resolve_tier(c, Some(engine)))
+            .max()
+            .unwrap_or(d.default_tier)
     }
 
     /// Wires the checkpoint store into a core per the engine's resolved
-    /// tier: Strict (and legacy) persist-and-fsync before shipping,
-    /// Buffered persists without the fsync, InMemory skips the store
-    /// entirely — its only recovery sources are the passive replica and
-    /// peer replay, so a whole-process crash restarts it from scratch.
+    /// tier: Strict persists and fsyncs before shipping, Buffered persists
+    /// without the fsync, InMemory skips the store entirely — its only
+    /// recovery sources are the passive replica and peer replay, so a
+    /// whole-process crash restarts it from scratch.
     fn attach_durability(&self, engine: EngineId, core: &mut EngineCore) {
-        let Some(store) = &self.durable else { return };
-        match self.engine_tier(engine) {
-            Some(DurabilityPolicy::InMemory) => {}
-            Some(DurabilityPolicy::Buffered { .. }) => {
+        let (Some(store), Some(d)) = (&self.durable, &self.config.durability) else {
+            return;
+        };
+        match self.engine_tier(d, engine) {
+            DurabilityPolicy::InMemory => {}
+            DurabilityPolicy::Buffered { .. } => {
                 core.set_durable(Arc::clone(store));
                 core.set_durable_sync(false);
             }
-            Some(DurabilityPolicy::Strict) | None => core.set_durable(Arc::clone(store)),
+            DurabilityPolicy::Strict => core.set_durable(Arc::clone(store)),
         }
     }
 
@@ -772,15 +761,7 @@ impl Cluster {
                 apply_wire_tiers(&spec, &placement, d, &mut log);
                 (Arc::new(Mutex::new(log)), Some(store))
             }
-            None => {
-                let log = match &config.log_path {
-                    Some(path) => Arc::new(Mutex::new(
-                        MessageLog::file_backed(path).map_err(|_| DeployError::LogUnavailable)?,
-                    )),
-                    None => Arc::new(Mutex::new(MessageLog::in_memory())),
-                };
-                (log, None)
-            }
+            None => (Arc::new(Mutex::new(MessageLog::in_memory())), None),
         };
         log.lock().set_obs(Arc::clone(&obs));
         if let Some(store) = &durable {
@@ -889,7 +870,7 @@ impl Cluster {
             return Err(DeployError::DurabilityNotConfigured);
         };
         let (mut log, wal_recovery) =
-            MessageLog::durable(d.dir.join("wal"), d.wal_segment_bytes, d.policy)
+            MessageLog::durable(d.dir.join("wal"), d.wal_segment_bytes)
                 .map_err(|e| DeployError::DurabilityUnavailable(e.to_string()))?;
         apply_wire_tiers(&spec, &placement, &d, &mut log);
         let store = Arc::new(
@@ -1457,9 +1438,8 @@ pub struct RecoveryReport {
 pub struct ComponentRecovery {
     /// The component.
     pub component: ComponentId,
-    /// Its resolved durability tier; `None` means the legacy engine-wide
-    /// fsync policy governed its inputs.
-    pub tier: Option<DurabilityPolicy>,
+    /// Its resolved durability tier.
+    pub tier: DurabilityPolicy,
     /// External-input records recovered from the WAL for this component's
     /// wires. Compared against the pre-crash append count, the shortfall
     /// is exactly what sat inside the open flush window (Buffered) or was
@@ -1483,9 +1463,8 @@ pub struct CrashReport {
     pub memory_only_inputs: BTreeMap<ComponentId, u64>,
 }
 
-/// Pins every tiered external-input wire of `log` to its resolved
-/// durability tier (component → engine → cluster default). Unresolved
-/// wires keep the legacy engine-wide fsync-policy path.
+/// Pins every external-input wire of `log` to its destination component's
+/// durability tier (component → engine → cluster default).
 fn apply_wire_tiers(
     spec: &AppSpec,
     placement: &Placement,
@@ -1496,9 +1475,7 @@ fn apply_wire_tiers(
         let Some(c) = w.to().component() else {
             continue;
         };
-        if let Some(tier) = d.tier_for(c, placement.engine_of(c)) {
-            log.set_wire_tier(w.id(), tier);
-        }
+        log.set_wire_tier(w.id(), d.resolve_tier(c, placement.engine_of(c)));
     }
 }
 
@@ -1516,12 +1493,12 @@ fn component_recoveries(
         let Some(c) = w.to().component() else {
             continue;
         };
-        let tier = d.tier_for(c, placement.engine_of(c));
+        let tier = d.resolve_tier(c, placement.engine_of(c));
         let entry = per.entry(c).or_insert_with(|| ComponentRecovery {
             component: c,
             tier,
             recovered_inputs: 0,
-            replay_from_peers_only: matches!(tier, Some(DurabilityPolicy::InMemory)),
+            replay_from_peers_only: tier == DurabilityPolicy::InMemory,
         });
         entry.recovered_inputs += log.wire_len(w.id()) as u64;
     }
@@ -1559,7 +1536,7 @@ fn open_fresh_durability(
     }
     std::fs::create_dir_all(&d.dir)
         .map_err(|e| DeployError::DurabilityUnavailable(e.to_string()))?;
-    let (log, _recovery) = MessageLog::durable(d.dir.join("wal"), d.wal_segment_bytes, d.policy)
+    let (log, _recovery) = MessageLog::durable(d.dir.join("wal"), d.wal_segment_bytes)
         .map_err(|e| DeployError::DurabilityUnavailable(e.to_string()))?;
     let store = CheckpointStore::open(d.dir.join("ckpt"))
         .map_err(|e| DeployError::DurabilityUnavailable(e.to_string()))?;

@@ -9,7 +9,7 @@ use tart_model::{AppSpec, BlockId};
 use tart_silence::SilencePolicy;
 use tart_vtime::{ComponentId, EngineId, VirtualDuration, WireId};
 
-use crate::{DurabilityPolicy, FaultPlan, FsyncPolicy, LogicalClock, RealClock, TimeSource};
+use crate::{DurabilityPolicy, FaultPlan, LogicalClock, RealClock, TimeSource};
 
 /// Assigns components to execution engines — the placement service of
 /// §II.C ("a placement service assigns individual components to execution
@@ -181,20 +181,15 @@ impl Default for StandbyConfig {
 /// from `dir`.
 ///
 /// The tier table (`component_tiers` / `engine_tiers` / `default_tier`)
-/// refines the single cluster-wide `policy` into per-component
-/// [`DurabilityPolicy`] contracts (see `DURABILITY.md`): a component's tier
-/// decides how its external inputs ride the shared WAL (Strict closes the
-/// group-commit window, Buffered rides it, InMemory skips the log) and how
-/// its engine's checkpoints persist. Components with no resolved tier keep
-/// the legacy behaviour: WAL appends follow `policy` and checkpoint
-/// persists fsync.
+/// gives every component a [`DurabilityPolicy`] contract (see
+/// `DURABILITY.md`): a component's tier decides how its external inputs
+/// ride the shared WAL (Strict closes the group-commit window, Buffered
+/// rides it, InMemory skips the log) and how its engine's checkpoints
+/// persist.
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
     /// Root directory for all persistent state.
     pub dir: std::path::PathBuf,
-    /// When WAL appends are forced to disk (legacy cluster-wide lane, used
-    /// by wires whose destination component resolves to no tier).
-    pub policy: FsyncPolicy,
     /// WAL segment rotation threshold in bytes.
     pub wal_segment_bytes: u64,
     /// Persist a full (self-contained) checkpoint every this many durable
@@ -204,8 +199,8 @@ pub struct DurabilityConfig {
     /// deltas) for much smaller steady-state checkpoint writes.
     pub full_checkpoint_every: u32,
     /// Cluster-wide default durability tier for components without a more
-    /// specific entry. `None` keeps the legacy (untiered) contract.
-    pub default_tier: Option<DurabilityPolicy>,
+    /// specific entry.
+    pub default_tier: DurabilityPolicy,
     /// Per-engine tier overrides: apply to every component placed on the
     /// engine unless the component has its own entry.
     pub engine_tiers: BTreeMap<EngineId, DurabilityPolicy>,
@@ -215,38 +210,44 @@ pub struct DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// A durability config rooted at `dir` with the given legacy fsync
-    /// policy, default segment threshold (1 MiB), full-checkpoint cadence
-    /// (4) and an empty tier table.
-    pub fn new(dir: impl Into<std::path::PathBuf>, policy: FsyncPolicy) -> Self {
+    /// A durability config rooted at `dir` with the given default tier,
+    /// default segment threshold (1 MiB), full-checkpoint cadence (4) and
+    /// no per-engine or per-component entries.
+    pub fn new(dir: impl Into<std::path::PathBuf>, default: impl Into<DurabilityPolicy>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
-            policy,
             wal_segment_bytes: 1 << 20,
             full_checkpoint_every: 4,
-            default_tier: None,
+            default_tier: default.into(),
             engine_tiers: BTreeMap::new(),
             component_tiers: BTreeMap::new(),
         }
     }
 
     /// Resolves `component`'s durability tier: component entry, else its
-    /// engine's entry, else the cluster default, else `None` (legacy
-    /// untiered contract).
+    /// engine's entry, else the cluster default. Always `Some`; the
+    /// `Option` is kept so existing callers that compare against
+    /// `Some(tier)` keep compiling.
     pub fn tier_for(
         &self,
         component: ComponentId,
         engine: Option<EngineId>,
     ) -> Option<DurabilityPolicy> {
-        if let Some(t) = self.component_tiers.get(&component) {
-            return Some(*t);
-        }
-        if let Some(e) = engine {
-            if let Some(t) = self.engine_tiers.get(&e) {
-                return Some(*t);
-            }
-        }
-        self.default_tier
+        Some(self.resolve_tier(component, engine))
+    }
+
+    /// [`DurabilityConfig::tier_for`] without the `Option`.
+    pub(crate) fn resolve_tier(
+        &self,
+        component: ComponentId,
+        engine: Option<EngineId>,
+    ) -> DurabilityPolicy {
+        let engine_tier = engine.and_then(|e| self.engine_tiers.get(&e));
+        *self
+            .component_tiers
+            .get(&component)
+            .or(engine_tier)
+            .unwrap_or(&self.default_tier)
     }
 }
 
@@ -288,10 +289,6 @@ pub struct ClusterConfig {
     /// How long an engine blocks on an empty inbox before re-evaluating
     /// (also the re-probe period after lost probes), in microseconds.
     pub idle_poll_micros: u64,
-    /// Persist the external-input log to this CRC-protected append-only
-    /// file (the paper's "stable storage" flavour, §II.E); `None` keeps the
-    /// log in memory only (the "backup machine" flavour).
-    pub log_path: Option<std::path::PathBuf>,
     /// Dynamic re-tuning (§II.G.4): after this many measured handler
     /// executions, a component's estimator is re-fitted by linear
     /// regression on block 0 and installed as a determinism fault.
@@ -303,8 +300,7 @@ pub struct ClusterConfig {
     pub supervision: Option<SupervisionConfig>,
     /// Crash-safe durability: segmented WAL + on-disk checkpoint store.
     /// `None` (the default) keeps all recovery state in memory, where a
-    /// whole-process crash is unrecoverable. Supersedes `log_path` when
-    /// both are set.
+    /// whole-process crash is unrecoverable.
     pub durability: Option<DurabilityConfig>,
     /// Warm-standby failover: stream checkpoints to a passive replica that
     /// pre-applies them up to a trailing horizon, so promotion replays only
@@ -336,7 +332,6 @@ impl ClusterConfig {
             clock: Arc::new(RealClock::new()),
             faults: FaultPlan::none(),
             idle_poll_micros: 200,
-            log_path: None,
             auto_recalibrate_after: None,
             supervision: None,
             durability: None,
@@ -379,40 +374,21 @@ impl ClusterConfig {
         self
     }
 
-    /// Persists the external-input log to `path` (builder style).
-    pub fn with_log_file(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.log_path = Some(path.into());
-        self
-    }
-
     /// Enables the crash-safe durability layer rooted at `dir` (builder
-    /// style): external inputs go through a fsync-policied segmented WAL,
-    /// checkpoints are persisted to a generation-managed on-disk store, and
-    /// the cluster becomes cold-restartable via
-    /// [`crate::Cluster::recover_from_disk`]. Uses a 1 MiB WAL segment
-    /// threshold and a full checkpoint every 4 durable generations; set
+    /// style): external inputs go through the segmented WAL, checkpoints
+    /// are persisted to a generation-managed on-disk store, and the cluster
+    /// becomes cold-restartable via [`crate::Cluster::recover_from_disk`].
+    /// Every component without a more specific engine or component entry
+    /// gets the `default` tier; see `DURABILITY.md` for the contract each
+    /// tier carries. Uses a 1 MiB WAL segment threshold and a full
+    /// checkpoint every 4 durable generations; set
     /// [`ClusterConfig::durability`] directly to tune them.
     pub fn with_durability(
         mut self,
         dir: impl Into<std::path::PathBuf>,
-        policy: FsyncPolicy,
+        default: impl Into<DurabilityPolicy>,
     ) -> Self {
-        self.durability = Some(DurabilityConfig::new(dir, policy));
-        self
-    }
-
-    /// Sets the cluster-wide default durability tier (builder style): every
-    /// component without a more specific engine or component entry resolves
-    /// to `tier`. See `DURABILITY.md` for the contract each tier carries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if durability is not enabled.
-    pub fn with_default_tier(mut self, tier: DurabilityPolicy) -> Self {
-        self.durability
-            .as_mut()
-            .expect("enable durability before assigning tiers")
-            .default_tier = Some(tier);
+        self.durability = Some(DurabilityConfig::new(dir, default));
         self
     }
 
@@ -697,8 +673,7 @@ mod tests {
             flush_window: Duration::from_millis(5),
         };
         let cfg = ClusterConfig::logical_time()
-            .with_durability("/tmp/unused", FsyncPolicy::Always)
-            .with_default_tier(buffered)
+            .with_durability("/tmp/unused", buffered)
             .with_engine_tier(e1, DurabilityPolicy::InMemory)
             .with_component_tier(c0, DurabilityPolicy::Strict);
         let d = cfg.durability.expect("enabled");
@@ -709,9 +684,9 @@ mod tests {
         // Default covers the rest, with or without a known engine.
         assert_eq!(d.tier_for(c1, Some(e0)), Some(buffered));
         assert_eq!(d.tier_for(c2, None), Some(buffered));
-        // No default → legacy untiered contract.
-        let bare = DurabilityConfig::new("/tmp/unused", FsyncPolicy::Always);
-        assert_eq!(bare.tier_for(c2, Some(e0)), None);
+        // The older `FsyncPolicy::Always` spelling is the Strict default.
+        let bare = DurabilityConfig::new("/tmp/unused", crate::FsyncPolicy::Always);
+        assert_eq!(bare.tier_for(c2, Some(e0)), Some(DurabilityPolicy::Strict));
     }
 
     #[test]
@@ -731,6 +706,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "enable durability before assigning tiers")]
     fn tiers_without_durability_rejected() {
-        let _ = ClusterConfig::logical_time().with_default_tier(DurabilityPolicy::Strict);
+        let _ = ClusterConfig::logical_time()
+            .with_engine_tier(EngineId::new(0), DurabilityPolicy::Strict);
     }
 }

@@ -199,7 +199,7 @@ pub struct EngineCore {
     /// Checkpoints tee here; `TrimAck`s wait for the persist to succeed.
     durable: Option<Arc<CheckpointStore>>,
     /// Whether checkpoint persists fsync before shipping (`true`, the
-    /// Strict/legacy path) or leave writeback to the kernel (`false`, the
+    /// Strict tier) or leave writeback to the kernel (`false`, the
     /// Buffered tier — see [`CheckpointStore::persist_with`]).
     durable_sync: bool,
     /// Consumed watermarks as of the *previous* durable full generation —
@@ -374,9 +374,9 @@ impl EngineCore {
         }
     }
 
-    /// Chooses between fsynced (`true`, default — the Strict/legacy
-    /// durability behaviour) and kernel-scheduled (`false` — the
-    /// [`crate::DurabilityPolicy::Buffered`] tier) checkpoint persists.
+    /// Chooses between fsynced (`true`, default — the Strict tier) and
+    /// kernel-scheduled (`false` — the [`crate::DurabilityPolicy::Buffered`]
+    /// tier) checkpoint persists.
     /// Persist-before-ship ordering and TrimAck gating are unchanged either
     /// way; only the fsync on the checkpoint file moves.
     pub fn set_durable_sync(&mut self, sync: bool) {

@@ -4,27 +4,25 @@
 //! given a timestamp, and then is (b) logged — either to external stable
 //! storage, or to the backup machine. … Only external messages are logged"
 //! (§II.E). The log is the replay source for external wires after a
-//! failover.
+//! failover. Which of the two places a wire's records go is its
+//! [`DurabilityPolicy`]: InMemory keeps them here only (the backup-machine
+//! flavour), Buffered and Strict also append them to the [`Wal`].
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{BufReader, Read, Write};
 use std::path::Path;
 
 use bytes::BytesMut;
-use tart_codec::{crc32, Decode, DecodeError, Encode};
+use tart_codec::{Decode, DecodeError, Encode};
 use tart_model::Value;
 use tart_vtime::{VirtualTime, WireId};
 
-use crate::wal::{DurabilityPolicy, FsyncPolicy, Wal, WalError, WalRecovery};
+use crate::wal::{DurabilityPolicy, Wal, WalError, WalRecovery};
 
 /// Errors from the message log.
 #[derive(Debug)]
 pub enum LogError {
-    /// Underlying file I/O failed.
-    Io(std::io::Error),
-    /// A persisted record failed its CRC or decode check.
+    /// A persisted record passed its CRC but failed to decode.
     Corrupt(DecodeError),
     /// The segmented-WAL backend failed.
     Storage(WalError),
@@ -40,7 +38,6 @@ pub enum LogError {
 impl fmt::Display for LogError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LogError::Io(e) => write!(f, "log i/o failed: {e}"),
             LogError::Corrupt(e) => write!(f, "log record corrupt: {e}"),
             LogError::Storage(e) => write!(f, "log storage failed: {e}"),
             LogError::NonMonotonic { wire, got } => {
@@ -56,17 +53,10 @@ impl fmt::Display for LogError {
 impl std::error::Error for LogError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            LogError::Io(e) => Some(e),
             LogError::Corrupt(e) => Some(e),
             LogError::Storage(e) => Some(e),
             LogError::NonMonotonic { .. } => None,
         }
-    }
-}
-
-impl From<std::io::Error> for LogError {
-    fn from(e: std::io::Error) -> Self {
-        LogError::Io(e)
     }
 }
 
@@ -82,34 +72,8 @@ impl From<WalError> for LogError {
     }
 }
 
-/// One logged external message.
-#[derive(Clone, Debug, PartialEq)]
-struct LogRecord {
-    wire: WireId,
-    vt: VirtualTime,
-    payload: Value,
-}
-
-impl Encode for LogRecord {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.wire.encode(buf);
-        self.vt.encode(buf);
-        self.payload.encode(buf);
-    }
-}
-
-impl Decode for LogRecord {
-    fn decode(r: &mut tart_codec::Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(LogRecord {
-            wire: WireId::decode(r)?,
-            vt: VirtualTime::decode(r)?,
-            payload: Value::decode(r)?,
-        })
-    }
-}
-
 /// An append-only log of timestamped external messages, indexed by wire,
-/// optionally persisted to a CRC-protected file.
+/// optionally backed by a [`Wal`].
 ///
 /// # Example
 ///
@@ -128,9 +92,10 @@ impl Decode for LogRecord {
 pub struct MessageLog {
     /// wire → (vt → payload); BTreeMap gives range replay directly.
     entries: BTreeMap<WireId, BTreeMap<VirtualTime, Value>>,
-    backend: Backend,
-    /// Per-wire durability tier overriding the backend-wide policy. Wires
-    /// absent from the map use the legacy engine-wide [`FsyncPolicy`] path.
+    /// Where Buffered and Strict records persist; `None` keeps the whole
+    /// log in memory.
+    wal: Option<Wal>,
+    /// Per-wire durability tier. Wires absent from the map are Strict.
     wire_tiers: BTreeMap<WireId, DurabilityPolicy>,
     /// Buffered-lane appends that may still be inside the open flush
     /// window: `(wal record index, wire)`. Pruned lazily against the WAL's
@@ -139,6 +104,8 @@ pub struct MessageLog {
     window: VecDeque<(u64, WireId)>,
     /// Per-wire count of appends routed memory-only ([`DurabilityPolicy::InMemory`]).
     memory_only: BTreeMap<WireId, u64>,
+    /// Reused encode buffer for records bound for the WAL.
+    scratch: BytesMut,
 }
 
 /// Per-wire loss accounting from [`MessageLog::crash_discard`]: what a
@@ -155,45 +122,17 @@ pub struct LogCrash {
     pub memory_only: BTreeMap<WireId, u64>,
 }
 
-/// Where appended records are persisted.
-enum Backend {
-    /// Nowhere: in-memory only (the "backup machine" flavour).
-    Memory,
-    /// A single flat file, flushed but never fsynced (legacy flavour).
-    File(File),
-    /// The segmented WAL with fsync policy (the durable flavour).
-    Wal(Wal),
-}
-
 impl MessageLog {
     /// Creates a purely in-memory log (the "backup machine" flavour).
     pub fn in_memory() -> Self {
         MessageLog {
             entries: BTreeMap::new(),
-            backend: Backend::Memory,
+            wal: None,
             wire_tiers: BTreeMap::new(),
             window: VecDeque::new(),
             memory_only: BTreeMap::new(),
+            scratch: BytesMut::new(),
         }
-    }
-
-    /// Creates (or truncates) a file-backed log (the "stable storage"
-    /// flavour). Each record is length-prefixed and CRC-protected.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Io`] if the file cannot be created.
-    pub fn file_backed(path: impl AsRef<Path>) -> Result<Self, LogError> {
-        let file = OpenOptions::new()
-            // tart-lint: allow(TAINT-FLOW) -- identifier collision: `OpenOptions::create`, not `Wal::create` (chained receivers are untyped, DESIGN.md §17)
-            .create(true)
-            .write(true)
-            .truncate(true)
-            // tart-lint: allow(TAINT-FLOW) -- identifier collision: `OpenOptions::open`, see above
-            .open(path)?;
-        let mut log = MessageLog::in_memory();
-        log.backend = Backend::File(file);
-        Ok(log)
     }
 
     /// Opens (or creates) a log backed by the segmented [`Wal`] in `dir`,
@@ -208,156 +147,89 @@ impl MessageLog {
     pub fn durable(
         dir: impl AsRef<Path>,
         segment_bytes: u64,
-        policy: FsyncPolicy,
     ) -> Result<(Self, WalRecovery), LogError> {
         // tart-lint: allow(TAINT-FLOW) -- recovery boundary: Wal::open re-reads the durable log, which is the replay source itself; same bytes, same recovery
-        let (wal, recovery) = Wal::open(dir, segment_bytes, policy)?;
+        let (wal, recovery) = Wal::open(dir, segment_bytes)?;
         let mut log = MessageLog::in_memory();
         for body in &recovery.records {
-            let record = LogRecord::from_bytes(body)?;
-            log.insert(record)?;
+            let (wire, vt, payload) = <(WireId, VirtualTime, Value)>::from_bytes(body)?;
+            log.insert(wire, vt, payload)?;
         }
-        log.backend = Backend::Wal(wal);
+        log.wal = Some(wal);
         Ok((log, recovery))
     }
 
-    /// Attaches the observability hub to the WAL backend (no-op for the
-    /// in-memory and flat-file flavours): group-commit window occupancy and
-    /// per-tier fsync latency are recorded at every sync.
+    /// Attaches the observability hub to the WAL (no-op for an in-memory
+    /// log): group-commit window occupancy and per-tier fsync latency are
+    /// recorded at every sync.
     pub fn set_obs(&mut self, hub: std::sync::Arc<tart_obs::ObsHub>) {
-        if let Backend::Wal(wal) = &mut self.backend {
+        if let Some(wal) = &mut self.wal {
             wal.set_obs(hub);
         }
     }
 
-    /// Pins `wire` to a durability tier. Appends on pinned wires bypass the
-    /// engine-wide [`FsyncPolicy`]: [`DurabilityPolicy::Strict`] blocks
-    /// until the record is fsynced, [`DurabilityPolicy::Buffered`] rides
-    /// the group-commit window, and [`DurabilityPolicy::InMemory`] skips
-    /// persistence entirely (recovery replays those wires from peers).
-    /// Unpinned wires keep the legacy policy-driven path.
+    /// Pins `wire` to a durability tier: [`DurabilityPolicy::Strict`]
+    /// blocks until the record is fsynced, [`DurabilityPolicy::Buffered`]
+    /// rides the group-commit window, and [`DurabilityPolicy::InMemory`]
+    /// skips persistence entirely (recovery replays those wires from
+    /// peers). Unpinned wires are Strict.
     pub fn set_wire_tier(&mut self, wire: WireId, tier: DurabilityPolicy) {
         self.wire_tiers.insert(wire, tier);
     }
 
-    /// Recovers a log from a previously written flat file, verifying every
-    /// record's CRC. A torn **or corrupt** final record (partial write or
-    /// bit-rot at the moment of the crash) is physically truncated away so
-    /// later appends land cleanly; corruption before the final record is an
-    /// error — that is stable storage decaying, not a crash artifact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Io`] on read failure or [`LogError::Corrupt`] on
-    /// mid-file CRC/decode mismatch.
-    pub fn recover(path: impl AsRef<Path>) -> Result<Self, LogError> {
-        let path = path.as_ref();
-        let mut reader = BufReader::new(File::open(path)?); // tart-lint: allow(AMBIENT-ENV) -- recovery reads the message log itself: the log IS the logged input channel
-        let mut bytes = Vec::new();
-        reader.read_to_end(&mut bytes)?;
-        let mut log = MessageLog::in_memory();
-        let mut pos = 0;
-        while pos < bytes.len() {
-            // Frame: u32 length (BE) | u32 crc (BE) | record bytes.
-            if pos + 8 > bytes.len() {
-                break; // torn header
-            }
-            let len = u32::from_be_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            let crc = u32::from_be_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-            if pos + 8 + len > bytes.len() {
-                break; // torn body
-            }
-            let body = &bytes[pos + 8..pos + 8 + len];
-            if crc32(body) != crc {
-                if pos + 8 + len == bytes.len() {
-                    break; // corrupt *final* record: a crash artifact
-                }
-                return Err(LogError::Corrupt(DecodeError::ChecksumMismatch));
-            }
-            let record = LogRecord::from_bytes(body)?;
-            log.insert(record)?;
-            pos += 8 + len;
-        }
-        if (pos as u64) < bytes.len() as u64 {
-            // Truncate the torn tail in place so the append cursor starts
-            // at the last valid record, not after garbage.
-            // tart-lint: allow(TAINT-FLOW) -- identifier collision: `OpenOptions::open`, not `CheckpointStore::open` (chained receiver, DESIGN.md §17)
-            let f = OpenOptions::new().write(true).open(path)?;
-            f.set_len(pos as u64)?;
-            f.sync_all()?;
-        }
-        // Re-open for appending.
-        // tart-lint: allow(TAINT-FLOW) -- identifier collision: `OpenOptions::append`/`open` builder methods, not the WAL's (chained receiver, DESIGN.md §17)
-        log.backend = Backend::File(OpenOptions::new().append(true).open(path)?);
-        Ok(log)
-    }
-
-    fn insert(&mut self, record: LogRecord) -> Result<(), LogError> {
-        let per_wire = self.entries.entry(record.wire).or_default();
+    fn insert(&mut self, wire: WireId, vt: VirtualTime, payload: Value) -> Result<(), LogError> {
+        let per_wire = self.entries.entry(wire).or_default();
         if let Some((&last, _)) = per_wire.iter().next_back() {
-            if record.vt <= last {
-                return Err(LogError::NonMonotonic {
-                    wire: record.wire,
-                    got: record.vt,
-                });
+            if vt <= last {
+                return Err(LogError::NonMonotonic { wire, got: vt });
             }
         }
-        per_wire.insert(record.vt, record.payload);
+        per_wire.insert(vt, payload);
         Ok(())
     }
 
-    /// Appends one external message.
+    /// Appends one external message. The record is encoded only when a WAL
+    /// lane takes it.
     ///
     /// # Errors
     ///
     /// Returns [`LogError::NonMonotonic`] if `vt` does not exceed the wire's
-    /// last logged timestamp, or [`LogError::Io`] if persistence fails.
+    /// last logged timestamp, or [`LogError::Storage`] if persistence fails.
     pub fn append(
         &mut self,
         wire: WireId,
         vt: VirtualTime,
         payload: &Value,
     ) -> Result<(), LogError> {
-        let record = LogRecord {
-            wire,
-            vt,
-            payload: payload.clone(),
-        };
-        let body = record.to_bytes();
-        self.insert(record)?;
-        let tier = self.wire_tiers.get(&wire).copied();
-        if tier == Some(DurabilityPolicy::InMemory) {
-            // Memory-only tier: never persisted, whatever the backend.
+        self.insert(wire, vt, payload.clone())?;
+        let tier = self
+            .wire_tiers
+            .get(&wire)
+            .copied()
+            .unwrap_or(DurabilityPolicy::Strict);
+        if tier == DurabilityPolicy::InMemory {
             *self.memory_only.entry(wire).or_insert(0) += 1;
             return Ok(());
         }
-        match &mut self.backend {
-            Backend::Memory => {}
-            Backend::File(file) => {
-                let mut frame = Vec::with_capacity(body.len() + 8);
-                frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-                frame.extend_from_slice(&crc32(&body).to_be_bytes());
-                frame.extend_from_slice(&body);
-                file.write_all(&frame)?;
-                file.flush()?;
+        let Some(wal) = &mut self.wal else {
+            return Ok(());
+        };
+        // Byte-identical to encoding the `(wire, vt, payload)` tuple that
+        // recovery decodes.
+        self.scratch.clear();
+        wire.encode(&mut self.scratch);
+        vt.encode(&mut self.scratch);
+        payload.encode(&mut self.scratch);
+        // tart-lint: allow(TAINT-FLOW) -- durable append: the WAL ack carries no clock reading; record bytes, not group-commit times, enter the log
+        let idx = wal.append_lane(&self.scratch, tier)?;
+        if matches!(tier, DurabilityPolicy::Buffered { .. }) {
+            // Prune entries the flusher has already made durable, then
+            // track this one until it is.
+            let durable = wal.durable_index();
+            while self.window.front().is_some_and(|(i, _)| *i <= durable) {
+                self.window.pop_front();
             }
-            Backend::Wal(wal) => match tier {
-                // tart-lint: allow(TAINT-FLOW) -- durable append: the WAL ack carries no clock reading; record bytes, not group-commit times, enter the log
-                None => wal.append(&body)?,
-                Some(t) => {
-                    // tart-lint: allow(TAINT-FLOW) -- durable append (tiered lane): same boundary as above; only record bytes flow back
-                    let idx = wal.append_lane(&body, t)?;
-                    if matches!(t, DurabilityPolicy::Buffered { .. }) {
-                        // Prune entries the flusher has already made
-                        // durable, then track this one until it is.
-                        let durable = wal.durable_index();
-                        while self.window.front().is_some_and(|(i, _)| *i <= durable) {
-                            self.window.pop_front();
-                        }
-                        self.window.push_back((idx, wire));
-                    }
-                }
-            },
+            self.window.push_back((idx, wire));
         }
         Ok(())
     }
@@ -365,18 +237,17 @@ impl MessageLog {
     /// Simulates a hard crash of the logging process: the WAL's open flush
     /// window is dropped on the floor (closed windows already queued for
     /// the flusher still drain to the kernel) and the per-wire cost is
-    /// reported. In-memory and flat-file backends lose nothing extra — the
-    /// flat file is flushed on every append — but memory-only wires are
-    /// still reported.
+    /// reported. An in-memory log loses nothing extra, but memory-only
+    /// wires are still reported.
     ///
-    /// After this call the log refuses further appends on the WAL backend;
-    /// it exists for crash drills, not production shutdown.
+    /// After this call the log refuses further WAL appends; it exists for
+    /// crash drills, not production shutdown.
     pub fn crash_discard(&mut self) -> LogCrash {
         let mut crash = LogCrash {
             lost: BTreeMap::new(),
             memory_only: std::mem::take(&mut self.memory_only),
         };
-        if let Backend::Wal(wal) = &mut self.backend {
+        if let Some(wal) = &mut self.wal {
             let written = wal.crash_discard();
             for (idx, wire) in self.window.drain(..) {
                 if idx > written {
@@ -387,20 +258,16 @@ impl MessageLog {
         crash
     }
 
-    /// Forces any buffered appends to stable storage regardless of the
-    /// fsync policy (no-op for the in-memory flavour).
+    /// Forces any buffered appends to stable storage (no-op for an
+    /// in-memory log).
     ///
     /// # Errors
     ///
-    /// Returns [`LogError::Io`]/[`LogError::Storage`] if the fsync fails.
+    /// Returns [`LogError::Storage`] if the fsync fails.
     pub fn sync(&mut self) -> Result<(), LogError> {
-        match &mut self.backend {
-            Backend::Memory => Ok(()),
-            Backend::File(file) => {
-                file.flush()?;
-                file.sync_all().map_err(LogError::from)
-            }
-            Backend::Wal(wal) => wal.sync().map_err(LogError::from),
+        match &mut self.wal {
+            Some(wal) => wal.sync().map_err(LogError::from),
+            None => Ok(()),
         }
     }
 
@@ -437,11 +304,7 @@ impl MessageLog {
 
 impl fmt::Debug for MessageLog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let backend = match &self.backend {
-            Backend::Memory => "memory",
-            Backend::File(_) => "file",
-            Backend::Wal(_) => "wal",
-        };
+        let backend = if self.wal.is_some() { "wal" } else { "memory" };
         f.debug_struct("MessageLog")
             .field("records", &self.len())
             .field("backend", &backend)
@@ -496,117 +359,11 @@ mod tests {
     }
 
     #[test]
-    fn file_round_trip_with_crc() {
-        let dir = std::env::temp_dir().join(format!("tart-log-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("round_trip.log");
-        {
-            let mut log = MessageLog::file_backed(&path).unwrap();
-            log.append(w(0), vt(100), &Value::from("first")).unwrap();
-            log.append(w(0), vt(200), &Value::from("second")).unwrap();
-            log.append(w(2), vt(150), &Value::I64(-5)).unwrap();
-        }
-        let recovered = MessageLog::recover(&path).unwrap();
-        assert_eq!(recovered.len(), 3);
-        assert_eq!(
-            recovered.replay_from(w(0), VirtualTime::ZERO),
-            vec![
-                (vt(100), Value::from("first")),
-                (vt(200), Value::from("second"))
-            ]
-        );
-        assert_eq!(recovered.replay_from(w(2), vt(150)).len(), 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recovered_log_accepts_further_appends() {
-        let dir = std::env::temp_dir().join(format!("tart-log-test2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("append.log");
-        {
-            let mut log = MessageLog::file_backed(&path).unwrap();
-            log.append(w(0), vt(1), &Value::I64(1)).unwrap();
-        }
-        {
-            let mut log = MessageLog::recover(&path).unwrap();
-            log.append(w(0), vt(2), &Value::I64(2)).unwrap();
-        }
-        let log = MessageLog::recover(&path).unwrap();
-        assert_eq!(log.len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn torn_tail_is_discarded_corrupt_middle_is_error() {
-        let dir = std::env::temp_dir().join(format!("tart-log-test3-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-
-        // Torn tail: truncate the file mid-record.
-        let path = dir.join("torn.log");
-        {
-            let mut log = MessageLog::file_backed(&path).unwrap();
-            log.append(w(0), vt(1), &Value::from("keep")).unwrap();
-            log.append(w(0), vt(2), &Value::from("torn")).unwrap();
-        }
-        let full_len = std::fs::metadata(&path).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(full_len - 3).unwrap();
-        drop(f);
-        {
-            let mut log = MessageLog::recover(&path).unwrap();
-            assert_eq!(log.len(), 1, "torn final record discarded");
-            // The file was physically truncated: appending after recovery
-            // produces a clean log, not garbage mid-file.
-            log.append(w(0), vt(3), &Value::from("after")).unwrap();
-        }
-        let log = MessageLog::recover(&path).unwrap();
-        assert_eq!(
-            log.replay_from(w(0), VirtualTime::ZERO),
-            vec![(vt(1), Value::from("keep")), (vt(3), Value::from("after"))]
-        );
-
-        // Bit flip in the *final* record: a crash artifact — truncated, not
-        // fatal (regression for the whole-log Corrupt bug).
-        let path2 = dir.join("flip-tail.log");
-        {
-            let mut log = MessageLog::file_backed(&path2).unwrap();
-            log.append(w(0), vt(1), &Value::from("solid")).unwrap();
-            log.append(w(0), vt(2), &Value::from("rotten")).unwrap();
-        }
-        let mut bytes = std::fs::read(&path2).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        std::fs::write(&path2, &bytes).unwrap();
-        let log = MessageLog::recover(&path2).unwrap();
-        assert_eq!(log.len(), 1, "corrupt final record truncated");
-        assert_eq!(log.last_vt(w(0)), Some(vt(1)));
-
-        // Bit flip in a *mid-file* record: stable storage decay — an error.
-        let path3 = dir.join("flip-mid.log");
-        let first_len;
-        {
-            let mut log = MessageLog::file_backed(&path3).unwrap();
-            log.append(w(0), vt(1), &Value::from("early")).unwrap();
-            first_len = std::fs::metadata(&path3).unwrap().len() as usize;
-            log.append(w(0), vt(2), &Value::from("later")).unwrap();
-        }
-        let mut bytes = std::fs::read(&path3).unwrap();
-        bytes[first_len - 1] ^= 0xff; // last byte of the FIRST record
-        std::fs::write(&path3, &bytes).unwrap();
-        assert!(matches!(
-            MessageLog::recover(&path3),
-            Err(LogError::Corrupt(DecodeError::ChecksumMismatch))
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn durable_backend_round_trips_through_the_wal() {
         let dir = std::env::temp_dir().join(format!("tart-log-wal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let (mut log, rec) = MessageLog::durable(&dir, 64, FsyncPolicy::Always).unwrap();
+            let (mut log, rec) = MessageLog::durable(&dir, 64).unwrap();
             assert_eq!(rec.records.len(), 0);
             for t in 1..=8 {
                 log.append(w(0), vt(t), &Value::from(format!("m{t}")))
@@ -614,7 +371,7 @@ mod tests {
             }
             log.sync().unwrap();
         }
-        let (log, rec) = MessageLog::durable(&dir, 64, FsyncPolicy::Always).unwrap();
+        let (log, rec) = MessageLog::durable(&dir, 64).unwrap();
         assert_eq!(rec.records.len(), 8);
         assert_eq!(rec.truncated_bytes, 0);
         assert!(rec.segments > 1, "tiny threshold forces rotation");
@@ -630,7 +387,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let lost_on_w1;
         {
-            let (mut log, rec) = MessageLog::durable(&dir, u64::MAX, FsyncPolicy::Never).unwrap();
+            let (mut log, rec) = MessageLog::durable(&dir, u64::MAX).unwrap();
             assert!(rec.records.is_empty());
             log.set_wire_tier(w(0), DurabilityPolicy::Strict);
             log.set_wire_tier(
@@ -659,7 +416,7 @@ mod tests {
             lost_on_w1 = crash.lost.get(&w(1)).copied().unwrap_or(0);
             assert!(lost_on_w1 <= 4);
         }
-        let (log, rec) = MessageLog::durable(&dir, u64::MAX, FsyncPolicy::Never).unwrap();
+        let (log, rec) = MessageLog::durable(&dir, u64::MAX).unwrap();
         // Strict records all survive; InMemory never touched the WAL.
         assert_eq!(log.replay_from(w(0), VirtualTime::ZERO).len(), 4);
         assert!(log.replay_from(w(2), VirtualTime::ZERO).is_empty());
@@ -678,7 +435,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tart-log-pin-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let (mut log, _) = MessageLog::durable(&dir, u64::MAX, FsyncPolicy::Never).unwrap();
+            let (mut log, _) = MessageLog::durable(&dir, u64::MAX).unwrap();
             log.set_wire_tier(w(0), DurabilityPolicy::Strict);
             log.set_wire_tier(
                 w(1),
@@ -697,7 +454,7 @@ mod tests {
                 "strict barrier pinned the window: {crash:?}"
             );
         }
-        let (log, _) = MessageLog::durable(&dir, u64::MAX, FsyncPolicy::Never).unwrap();
+        let (log, _) = MessageLog::durable(&dir, u64::MAX).unwrap();
         assert_eq!(log.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -3,8 +3,8 @@
 //! The paper's §III.C measurement ran on two physical machines. The
 //! in-process [`Router`] covers single-host deployments and
 //! tests; this module extends it across hosts: every [`Envelope`] is
-//! [`Encode`]-stable, so a frame is just a length-prefixed, CRC-protected
-//! `(target engine, envelope)` pair on a TCP stream (which is itself
+//! [`Encode`]-stable, so a frame is just a batch of `(target engine,
+//! envelope)` pairs in the shared CRC frame on a TCP stream (which is itself
 //! reliable and FIFO, matching the §II.A link model; loss at *failure* is
 //! still covered by the replay protocol).
 //!
@@ -33,8 +33,7 @@
 //! *by reference* into a reusable scratch buffer — no clone, no per-send
 //! allocation. Superseded silence adverts are coalesced per wire before
 //! encoding; silence watermarks are monotone, so only the newest matters.
-//! [`TcpInbound`] speaks batch frames; the single-envelope
-//! [`write_frame`]/[`read_frame`] codec remains for tools and tests.
+//! A single envelope travels as a batch of one.
 //!
 //! # Example
 //!
@@ -66,67 +65,39 @@ use std::time::Duration;
 use bytes::BytesMut;
 use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
-use tart_codec::{crc32, Decode, Encode, Reader};
+use tart_codec::frame::{self, Frame};
+use tart_codec::{Decode, Encode, Reader};
 use tart_vtime::EngineId;
 
 use crate::{Envelope, Router};
 
 /// Maximum accepted frame body, guarding against corrupt length prefixes.
-pub(crate) const MAX_FRAME: u32 = 64 * 1024 * 1024;
+const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
 /// Cap on envelopes coalesced into one batch frame, bounding frame size
 /// and the blast radius of a torn batch.
 pub(crate) const MAX_BATCH: usize = 1024;
 
-/// Encodes one `(target, envelope)` frame into `buf` **by reference** —
-/// no envelope clone, no intermediate allocation:
-/// `u32 BE body length | u32 BE crc32(body) | body`.
-pub fn encode_frame_into(buf: &mut BytesMut, target: EngineId, env: &Envelope) {
-    let start = buf.len();
-    buf.extend_from_slice(&[0u8; 8]); // header patched below
-    target.encode(buf);
-    env.encode(buf);
-    patch_header(buf, start);
-}
+/// The `(target engine, envelope)` pairs one batch frame carries.
+type Batch = Vec<(EngineId, Envelope)>;
 
-/// Encodes a whole batch as **one** frame into `buf`:
-/// `u32 BE body length | u32 BE crc32(body) | body`, where the body is a
-/// varint envelope count followed by that many `(target, envelope)` pairs
-/// (byte-identical to the codec's `Vec` encoding). One CRC covers the whole
-/// batch, so any single corrupt byte rejects it entirely. An empty batch
-/// encodes to nothing at all.
+/// Encodes a whole batch as **one** [`tart_codec::frame`] into `buf`,
+/// **by reference** — no envelope clone, no intermediate allocation. The
+/// body is a varint envelope count followed by that many `(target,
+/// envelope)` pairs (byte-identical to the codec's `Vec` encoding). One CRC
+/// covers the whole batch, so any single corrupt byte rejects it entirely.
+/// An empty batch encodes to nothing at all.
 pub fn encode_batch_into(buf: &mut BytesMut, batch: &[(EngineId, Envelope)]) {
     if batch.is_empty() {
         return;
     }
-    let start = buf.len();
-    buf.extend_from_slice(&[0u8; 8]); // header patched below
-    (batch.len() as u64).encode(buf);
-    for (target, env) in batch {
-        target.encode(buf);
-        env.encode(buf);
-    }
-    patch_header(buf, start);
-}
-
-/// Back-patches the `len | crc` header of the frame that starts at
-/// `start`, whose body was appended after an 8-byte placeholder.
-fn patch_header(buf: &mut BytesMut, start: usize) {
-    let body_len = buf.len() - start - 8;
-    let crc = crc32(&buf[start + 8..]);
-    buf[start..start + 4].copy_from_slice(&(body_len as u32).to_be_bytes());
-    buf[start + 4..start + 8].copy_from_slice(&crc.to_be_bytes());
-}
-
-/// Writes one `(target, envelope)` frame (see [`encode_frame_into`]).
-///
-/// # Errors
-///
-/// Propagates I/O failures from the underlying stream.
-pub fn write_frame(w: &mut impl Write, target: EngineId, env: &Envelope) -> io::Result<()> {
-    let mut buf = BytesMut::new();
-    encode_frame_into(&mut buf, target, env);
-    w.write_all(&buf)
+    frame::frame_with(buf, |buf| {
+        (batch.len() as u64).encode(buf);
+        for (target, env) in batch {
+            target.encode(buf);
+            env.encode(buf);
+        }
+    });
 }
 
 /// Writes `batch` as one batch frame via a caller-owned `scratch` buffer
@@ -150,68 +121,67 @@ pub fn write_batch(
     w.write_all(scratch)
 }
 
-/// Reads the `len | crc | body` envelope of one frame; `Ok(None)` is a
-/// clean EOF at a frame boundary. Shared by the single and batch readers.
-fn read_verified_body(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; 8];
-    // Distinguish clean EOF (no bytes) from a torn header.
-    match r.read(&mut header[..1])? {
-        0 => return Ok(None),
-        _ => r.read_exact(&mut header[1..])?,
-    }
-    let len = u32::from_be_bytes(header[..4].try_into().expect("4 bytes"));
-    let crc = u32::from_be_bytes(header[4..].try_into().expect("4 bytes"));
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    if crc32(&body) != crc {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame checksum mismatch",
-        ));
-    }
-    Ok(Some(body))
-}
-
-/// Reads one frame; `Ok(None)` signals a clean EOF at a frame boundary.
+/// Reads one batch frame, blocking; `Ok(None)` signals a clean EOF at a
+/// frame boundary. The CRC covers the whole batch: a single corrupt byte
+/// rejects every envelope in it (no partial delivery from a damaged frame).
 ///
 /// # Errors
 ///
 /// Returns `InvalidData` on CRC mismatch, oversized length, or a malformed
 /// body; `UnexpectedEof` on a mid-frame disconnect; and propagates other
 /// I/O failures.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(EngineId, Envelope)>> {
-    let Some(body) = read_verified_body(r)? else {
-        return Ok(None);
-    };
-    <(EngineId, Envelope)>::from_bytes(&body)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+pub fn read_batch(r: &mut impl Read) -> io::Result<Option<Vec<(EngineId, Envelope)>>> {
+    let mut buf = vec![0u8; frame::HEADER];
+    // Distinguish clean EOF (no bytes) from a torn header.
+    match r.read(&mut buf[..1])? {
+        0 => return Ok(None),
+        _ => r.read_exact(&mut buf[1..])?,
+    }
+    if let Frame::Incomplete {
+        body_len: Some(len),
+    } = frame::parse(&buf)
+    {
+        check_frame_len(len)?;
+        buf.resize(frame::HEADER + len as usize, 0);
+        r.read_exact(&mut buf[frame::HEADER..])?;
+    }
+    Ok(take_batch(&buf)?.map(|(batch, _)| batch))
 }
 
-/// Reads one batch frame; `Ok(None)` signals a clean EOF at a frame
-/// boundary. The CRC covers the whole batch: a single corrupt byte rejects
-/// every envelope in it (no partial delivery from a damaged frame).
-///
-/// # Errors
-///
-/// Same contract as [`read_frame`].
-pub fn read_batch(r: &mut impl Read) -> io::Result<Option<Vec<(EngineId, Envelope)>>> {
-    let Some(body) = read_verified_body(r)? else {
-        return Ok(None);
-    };
-    decode_batch_body(&body).map(Some)
+/// Takes one batch frame from the front of `buf`: the batch and the bytes
+/// it spanned, or `Ok(None)` while only a prefix has arrived. The reactor's
+/// nonblocking reads (`crate::reactor`) feed it as bytes arrive.
+pub(crate) fn take_batch(buf: &[u8]) -> io::Result<Option<(Batch, usize)>> {
+    match frame::parse(buf) {
+        Frame::Complete { body, end } => Ok(Some((decode_batch_body(body)?, end))),
+        Frame::Incomplete { body_len } => {
+            if let Some(len) = body_len {
+                check_frame_len(len)?;
+            }
+            Ok(None)
+        }
+        Frame::Corrupt => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "frame checksum mismatch",
+        )),
+    }
+}
+
+/// The socket boundary's length cap, applied as soon as a header is
+/// readable so a corrupt length never makes a reader wait for or allocate
+/// a huge body.
+fn check_frame_len(len: u32) -> io::Result<()> {
+    if len > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
+        ));
+    }
+    Ok(())
 }
 
 /// Decodes a CRC-verified batch body into its `(target, envelope)` pairs.
-/// Shared by the blocking [`read_batch`] and the reactor's incremental
-/// frame parser (`crate::reactor`).
-pub(crate) fn decode_batch_body(body: &[u8]) -> io::Result<Vec<(EngineId, Envelope)>> {
+fn decode_batch_body(body: &[u8]) -> io::Result<Batch> {
     let invalid =
         |e: tart_codec::DecodeError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
     let mut rd = Reader::new(body);
@@ -575,20 +545,26 @@ mod tests {
     }
 
     #[test]
-    fn frame_round_trip_over_buffer() {
+    fn one_envelope_batches_round_trip_over_buffer() {
+        let mut scratch = BytesMut::new();
         let mut buf = Vec::new();
-        write_frame(&mut buf, EngineId::new(3), &data(7)).unwrap();
-        write_frame(&mut buf, EngineId::new(4), &Envelope::Checkpoint).unwrap();
+        write_batch(&mut buf, &[(EngineId::new(3), data(7))], &mut scratch).unwrap();
+        write_batch(
+            &mut buf,
+            &[(EngineId::new(4), Envelope::Checkpoint)],
+            &mut scratch,
+        )
+        .unwrap();
         let mut cursor = &buf[..];
         assert_eq!(
-            read_frame(&mut cursor).unwrap(),
-            Some((EngineId::new(3), data(7)))
+            read_batch(&mut cursor).unwrap(),
+            Some(vec![(EngineId::new(3), data(7))])
         );
         assert_eq!(
-            read_frame(&mut cursor).unwrap(),
-            Some((EngineId::new(4), Envelope::Checkpoint))
+            read_batch(&mut cursor).unwrap(),
+            Some(vec![(EngineId::new(4), Envelope::Checkpoint)])
         );
-        assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF");
+        assert_eq!(read_batch(&mut cursor).unwrap(), None, "clean EOF");
     }
 
     fn silence(wire: u32, through: u64) -> Envelope {
@@ -660,26 +636,13 @@ mod tests {
     }
 
     #[test]
-    fn single_and_batch_frames_share_the_body_encoding() {
-        // A batch of one is the single frame plus a count prefix: both are
-        // built from references, so the bodies must agree byte-for-byte.
-        let mut single = BytesMut::new();
-        encode_frame_into(&mut single, EngineId::new(7), &data(5));
+    fn batch_body_is_the_codec_vec_encoding() {
+        // Envelopes are encoded by reference, yet the body must agree
+        // byte-for-byte with encoding an owned `Vec` of the pairs.
+        let pairs = vec![(EngineId::new(7), data(5))];
         let mut batch = BytesMut::new();
-        encode_batch_into(&mut batch, &[(EngineId::new(7), data(5))]);
-        assert_eq!(&single[8..], &batch[9..], "pair encoding is identical");
-        assert_eq!(batch[8], 1, "varint count of one");
-    }
-
-    #[test]
-    fn corrupt_frame_is_rejected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, EngineId::new(0), &data(1)).unwrap();
-        let last = buf.len() - 1;
-        buf[last] ^= 0xff;
-        let mut cursor = &buf[..];
-        let err = read_frame(&mut cursor).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        encode_batch_into(&mut batch, &pairs);
+        assert_eq!(&batch[frame::HEADER..], &pairs.to_bytes()[..]);
     }
 
     #[test]
@@ -688,7 +651,7 @@ mod tests {
         buf.extend_from_slice(&u32::MAX.to_be_bytes());
         buf.extend_from_slice(&0u32.to_be_bytes());
         let mut cursor = &buf[..];
-        let err = read_frame(&mut cursor).unwrap_err();
+        let err = read_batch(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -696,7 +659,7 @@ mod tests {
     fn torn_header_is_eof_error() {
         let buf = [0u8; 3];
         let mut cursor = &buf[..];
-        let err = read_frame(&mut cursor).unwrap_err();
+        let err = read_batch(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 

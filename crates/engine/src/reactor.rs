@@ -52,13 +52,11 @@ use std::time::{Duration, Instant};
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
-use tart_codec::crc32;
 use tart_stats::DetRng;
 use tart_vtime::EngineId;
 
 use crate::net::{
-    coalesce_silence, decode_batch_body, encode_batch_into, LinkState, ReconnectPolicy, MAX_BATCH,
-    MAX_FRAME,
+    coalesce_silence, encode_batch_into, take_batch, LinkState, ReconnectPolicy, MAX_BATCH,
 };
 use crate::{Envelope, Router};
 
@@ -519,35 +517,15 @@ impl Conn {
     }
 }
 
-/// Consumes one complete `len | crc | body` batch frame from the front of
-/// `buf`, or returns `Ok(None)` if the buffer holds only a prefix. The
-/// same validation as the blocking `read_batch`: length cap, whole-body
-/// CRC, strict body decode.
+/// Consumes one complete batch frame from the front of `buf`, or returns
+/// `Ok(None)` if the buffer holds only a prefix. The same validation as
+/// the blocking `read_batch`: length cap, whole-body CRC, strict body
+/// decode.
 fn pop_frame(buf: &mut Vec<u8>) -> io::Result<Option<Vec<(EngineId, Envelope)>>> {
-    if buf.len() < 8 {
+    let Some((batch, end)) = take_batch(buf)? else {
         return Ok(None);
-    }
-    let len = u32::from_be_bytes(buf[..4].try_into().expect("4 bytes"));
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
-        ));
-    }
-    let total = 8 + len as usize;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let crc = u32::from_be_bytes(buf[4..8].try_into().expect("4 bytes"));
-    let body = &buf[8..total];
-    if crc32(body) != crc {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame checksum mismatch",
-        ));
-    }
-    let batch = decode_batch_body(body)?;
-    buf.drain(..total);
+    };
+    buf.drain(..end);
     Ok(Some(batch))
 }
 

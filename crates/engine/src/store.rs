@@ -30,14 +30,15 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
-use tart_codec::{crc32, Decode, Encode};
+use tart_codec::frame::{self, Frame};
+use tart_codec::{Decode, Encode};
 use tart_estimator::DeterminismFault;
 use tart_vtime::{ComponentId, EngineId};
 
 use tart_model::StateHash;
 
 use crate::checkpoint::EngineCheckpoint;
-use crate::wal::{scan_segment, sync_dir, FRAME_HEADER};
+use crate::wal::{scan_segment, sync_dir};
 
 const MANIFEST: &str = "MANIFEST";
 /// Full checkpoint chains kept per engine (each full plus its trailing
@@ -155,12 +156,10 @@ fn fault_log_name(engine: u32) -> String {
     format!("faults-e{engine:04}.log")
 }
 
-/// Frames `body` as `u32 len | u32 crc | body` (the repo-wide on-disk frame).
-fn frame(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + FRAME_HEADER);
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(body).to_be_bytes());
-    out.extend_from_slice(body);
+/// `body` in the shared CRC frame, as one buffer.
+fn framed(body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    frame::frame_into(&mut out, body);
     out
 }
 
@@ -215,7 +214,7 @@ impl CheckpointStore {
         // listing is scanned either way; the manifest only contributes the
         // authoritative generation list when it verifies.
         let (listed_gens, listed_fulls) = scan_ckpt_files(&dir)?;
-        let index = match read_manifest(&dir.join(MANIFEST)) {
+        let index = match load_framed::<BTreeMap<u32, Vec<u64>>>(&dir.join(MANIFEST)) {
             Some(gens) => {
                 let mut fulls = listed_fulls;
                 for (engine, f) in fulls.iter_mut() {
@@ -324,7 +323,7 @@ impl CheckpointStore {
         }
         let generation = gens.last().map_or(0, |g| g + 1);
         let path = self.dir.join(ckpt_file_name(engine, generation, is_full));
-        write_atomic_with(&self.dir, &path, &frame(&ckpt.to_bytes()), sync)?;
+        write_atomic_with(&self.dir, &path, &framed(&ckpt.to_bytes()), sync)?;
         gens.push(generation);
         if is_full {
             fulls.push(generation);
@@ -371,7 +370,7 @@ impl CheckpointStore {
         let fulls = self.full_generations(engine);
         for (attempt, &generation) in fulls.iter().rev().take(KEPT_GENERATIONS).enumerate() {
             let path = self.dir.join(ckpt_name(engine.raw(), generation));
-            if let Some(checkpoint) = read_framed_checkpoint(&path) {
+            if let Some(checkpoint) = load_framed::<EngineCheckpoint>(&path) {
                 // CRC guards the bytes; the seal guards the recorded state
                 // hash itself. A full whose seal does not recompute is as
                 // unusable as a torn one.
@@ -417,7 +416,7 @@ impl CheckpointStore {
         let heads: Vec<u64> = fulls.iter().rev().take(KEPT_GENERATIONS).copied().collect();
         for (i, &head) in heads.iter().enumerate() {
             let head_path = self.dir.join(ckpt_name(engine.raw(), head));
-            let Some(full) = read_framed_checkpoint(&head_path) else {
+            let Some(full) = load_framed::<EngineCheckpoint>(&head_path) else {
                 continue; // damaged full: fall back to the previous chain
             };
             if full.seal_over(&StateHash::ZERO) != full.chain_seal {
@@ -432,7 +431,7 @@ impl CheckpointStore {
             for &g in gens.iter().filter(|&&g| g > head && g < upper) {
                 let is_full = fulls.binary_search(&g).is_ok();
                 let path = self.dir.join(ckpt_file_name(engine.raw(), g, is_full));
-                match read_framed_checkpoint(&path) {
+                match load_framed::<EngineCheckpoint>(&path) {
                     Some(c) => {
                         // The seal chains each member over its predecessor
                         // and covers the recorded state hash, so a delta
@@ -490,7 +489,7 @@ impl CheckpointStore {
             ),
         };
         let body = (component, fault.clone()).to_bytes();
-        file.write_all(&frame(&body))?;
+        file.write_all(&framed(&body))?;
         file.sync_all()?;
         Ok(())
     }
@@ -515,9 +514,9 @@ impl CheckpointStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(e.into()),
         }
-        let scan = scan_segment(&bytes);
-        let mut out = Vec::with_capacity(scan.records.len());
-        for body in &scan.records {
+        let (records, _) = scan_segment(&bytes);
+        let mut out = Vec::with_capacity(records.len());
+        for body in &records {
             let rec = <(ComponentId, DeterminismFault)>::from_bytes(body).map_err(|e| {
                 StoreError::Corrupt {
                     what: format!("fault log record for {engine}: {e}"),
@@ -543,27 +542,20 @@ impl fmt::Debug for CheckpointStore {
     }
 }
 
-/// Reads and verifies the manifest; `None` means missing or corrupt (the
-/// caller rebuilds from the directory listing).
-fn read_manifest(path: &Path) -> Option<BTreeMap<u32, Vec<u64>>> {
+/// Reads a file holding exactly one CRC frame and decodes its body; `None`
+/// when the file is missing, torn, corrupt, carries trailing bytes or does
+/// not decode (the caller rebuilds the manifest from the directory listing,
+/// or falls back a checkpoint generation).
+fn load_framed<T: Decode>(path: &Path) -> Option<T> {
     let bytes = fs::read(path).ok()?;
-    if bytes.len() < FRAME_HEADER {
-        return None;
+    match frame::parse(&bytes) {
+        Frame::Complete { body, end } if end == bytes.len() => T::from_bytes(body).ok(),
+        _ => None,
     }
-    let len = u32::from_be_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_be_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if FRAME_HEADER + len != bytes.len() {
-        return None;
-    }
-    let body = &bytes[FRAME_HEADER..];
-    if crc32(body) != crc {
-        return None;
-    }
-    BTreeMap::<u32, Vec<u64>>::from_bytes(body).ok()
 }
 
 fn write_manifest(dir: &Path, manifest: &BTreeMap<u32, Vec<u64>>) -> Result<(), StoreError> {
-    write_atomic(dir, &dir.join(MANIFEST), &frame(&manifest.to_bytes()))
+    write_atomic(dir, &dir.join(MANIFEST), &framed(&manifest.to_bytes()))
 }
 
 /// Lists the `ckpt-*.bin` files present: `(all generations, full
@@ -615,25 +607,6 @@ fn parse_ckpt_name(name: &str) -> Option<(u32, u64, bool)> {
         None => (gen_part, true),
     };
     Some((engine.parse().ok()?, generation.parse().ok()?, is_full))
-}
-
-/// Reads a CRC-framed checkpoint file; `None` on any verification failure
-/// (the caller falls back a generation).
-fn read_framed_checkpoint(path: &Path) -> Option<EngineCheckpoint> {
-    let bytes = fs::read(path).ok()?;
-    if bytes.len() < FRAME_HEADER {
-        return None;
-    }
-    let len = u32::from_be_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_be_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if FRAME_HEADER + len != bytes.len() {
-        return None;
-    }
-    let body = &bytes[FRAME_HEADER..];
-    if crc32(body) != crc {
-        return None;
-    }
-    EngineCheckpoint::from_bytes(body).ok()
 }
 
 #[cfg(test)]
@@ -911,9 +884,9 @@ mod tests {
         // with a freshly computed CRC: the frame verifies, the seal cannot.
         let mid = dir.join(delta_ckpt_name(9, 1));
         let bytes = fs::read(&mid).unwrap();
-        let mut tampered = EngineCheckpoint::from_bytes(&bytes[FRAME_HEADER..]).unwrap();
+        let mut tampered = EngineCheckpoint::from_bytes(&bytes[frame::HEADER..]).unwrap();
         tampered.state_hash = tart_model::hash_of(&u64::MAX);
-        fs::write(&mid, frame(&tampered.to_bytes())).unwrap();
+        fs::write(&mid, framed(&tampered.to_bytes())).unwrap();
 
         let loaded = store.load_chain(e).unwrap().unwrap();
         assert!(loaded.fell_back);
@@ -924,9 +897,9 @@ mod tests {
         // full on disk, the chain load reports irrecoverable corruption.
         let head = dir.join(ckpt_name(9, 0));
         let bytes = fs::read(&head).unwrap();
-        let mut tampered = EngineCheckpoint::from_bytes(&bytes[FRAME_HEADER..]).unwrap();
+        let mut tampered = EngineCheckpoint::from_bytes(&bytes[frame::HEADER..]).unwrap();
         tampered.state_hash = tart_model::hash_of(&u64::MAX);
-        fs::write(&head, frame(&tampered.to_bytes())).unwrap();
+        fs::write(&head, framed(&tampered.to_bytes())).unwrap();
         assert!(matches!(
             store.load_chain(e),
             Err(StoreError::Corrupt { .. })

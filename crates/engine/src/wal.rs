@@ -3,11 +3,9 @@
 //! The paper requires external messages to be logged "either to external
 //! stable storage, or to the backup machine" (§II.E). This module is the
 //! stable-storage half done properly: an append-only log split into
-//! fixed-threshold **segments**, each record framed as
-//! `u32 length (BE) | u32 crc32 (BE) | body`, with a pluggable
-//! [`FsyncPolicy`] governing when appends are forced to disk and a
-//! per-record [`DurabilityPolicy`] lane API ([`Wal::append_lane`]) layered
-//! on top of the same log.
+//! fixed-threshold **segments**, each record in the shared CRC frame of
+//! [`tart_codec::frame`]. Every append names its [`DurabilityPolicy`] lane
+//! ([`Wal::append_lane`]); the log itself has no policy.
 //!
 //! # Write path
 //!
@@ -54,10 +52,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tart_codec::crc32;
-
-/// Per-record frame overhead: u32 length + u32 crc.
-pub(crate) const FRAME_HEADER: usize = 8;
+use tart_codec::frame;
 
 /// Record cap on a [`DurabilityPolicy::Buffered`] commit window: the window
 /// closes early once this many records have staged, whatever the
@@ -82,31 +77,21 @@ fn wall_now() -> Instant {
     Instant::now()
 }
 
-/// When appended records are forced to stable storage.
+/// The older spelling of [`DurabilityPolicy::Strict`], accepted wherever a
+/// durability default is taken (`with_durability(dir, FsyncPolicy::Always)`
+/// still compiles). New code names the tier directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Fsync after every append: nothing acknowledged is ever lost, at the
-    /// cost of one disk round-trip per record.
+    /// Fsync every append before it returns: [`DurabilityPolicy::Strict`].
     Always,
-    /// Fsync after every `n` appends: bounds loss to at most `n - 1`
-    /// acknowledged records.
-    Interval(u32),
-    /// Group commit: one fsync amortized across a commit window. The log
-    /// syncs when `max_records` appends have accumulated, or when the
-    /// oldest staged append turns `max_delay` old (the flusher thread wakes
-    /// on the deadline — no follow-up append is needed). Loss is bounded to
-    /// the open window; rotation and [`Wal::sync`] still force everything
-    /// down regardless.
-    GroupCommit {
-        /// Appends that force a sync (clamped to at least 1).
-        max_records: u32,
-        /// Age of the oldest unsynced append that forces a sync.
-        max_delay: Duration,
-    },
-    /// Never fsync explicitly; the OS flushes when it pleases. Fastest, and
-    /// a whole-machine crash may lose everything since the last rotation
-    /// (rotation always seals with an fsync).
-    Never,
+}
+
+impl From<FsyncPolicy> for DurabilityPolicy {
+    fn from(policy: FsyncPolicy) -> Self {
+        match policy {
+            FsyncPolicy::Always => DurabilityPolicy::Strict,
+        }
+    }
 }
 
 /// Per-component durability tier (ROADMAP item 3; see DURABILITY.md for the
@@ -189,46 +174,22 @@ pub struct WalRecovery {
     pub segments: usize,
 }
 
-/// One scanned segment: the valid records and where validity ended.
-pub(crate) struct SegmentScan {
-    pub(crate) records: Vec<Vec<u8>>,
-    /// Offset just past the last valid record.
-    pub(crate) valid_len: u64,
-    /// Total bytes in the file.
-    pub(crate) file_len: u64,
-}
-
-pub(crate) fn scan_segment(bytes: &[u8]) -> SegmentScan {
+/// The valid records at the front of a segment, and the offset just past
+/// the last of them. The scan stops at the first torn or corrupt frame —
+/// the caller decides whether that is fatal — and at preallocation
+/// padding: an empty frame, which appends refuse to write precisely so the
+/// scanner can tell padding from data.
+pub(crate) fn scan_segment(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        if pos + FRAME_HEADER > bytes.len() {
-            break; // torn header
-        }
-        let len = u32::from_be_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_be_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if len == 0 && crc == 0 {
-            // Eight zero bytes are preallocation padding, never a record:
-            // empty bodies are refused at append time precisely so the
-            // scanner can tell padding from data.
+    let mut pos = 0;
+    while let frame::Frame::Complete { body, end } = frame::parse(&bytes[pos..]) {
+        if body.is_empty() {
             break;
         }
-        let end = pos + FRAME_HEADER + len;
-        if end > bytes.len() {
-            break; // torn body
-        }
-        let body = &bytes[pos + FRAME_HEADER..end];
-        if crc32(body) != crc {
-            break; // corrupt record — caller decides whether that is fatal
-        }
         records.push(body.to_vec());
-        pos = end;
+        pos += end;
     }
-    SegmentScan {
-        records,
-        valid_len: pos as u64,
-        file_len: bytes.len() as u64,
-    }
+    (records, pos)
 }
 
 fn segment_name(index: u64) -> String {
@@ -237,14 +198,6 @@ fn segment_name(index: u64) -> String {
 
 fn spare_name(index: u64) -> String {
     format!("wal-{index:08}.pre")
-}
-
-/// Appends one `u32 length | u32 crc32 | body` frame to `buf`.
-fn frame_into(buf: &mut Vec<u8>, body: &[u8]) {
-    buf.reserve(body.len() + FRAME_HEADER);
-    buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&crc32(body).to_be_bytes());
-    buf.extend_from_slice(body);
 }
 
 /// One unit of flusher work: a closed commit window (or a bare fsync /
@@ -312,7 +265,7 @@ fn lock_state(shared: &Shared) -> MutexGuard<'_, State> {
 
 /// Stages one framed record into the open window; returns its index.
 fn stage(st: &mut State, body: &[u8]) -> u64 {
-    frame_into(&mut st.staging, body);
+    frame::frame_into(&mut st.staging, body);
     st.staging_records += 1;
     st.assigned += 1;
     st.assigned
@@ -533,13 +486,13 @@ fn clear_spares(dir: &Path) -> std::io::Result<()> {
 /// # Example
 ///
 /// ```
-/// use tart_engine::{FsyncPolicy, Wal};
+/// use tart_engine::{DurabilityPolicy, Wal};
 ///
 /// let dir = std::env::temp_dir().join(format!("wal-doc-{}", std::process::id()));
-/// let mut wal = Wal::create(&dir, 1024, FsyncPolicy::Always)?;
-/// wal.append(b"hello")?;
+/// let mut wal = Wal::create(&dir, 1024)?;
+/// wal.append_lane(b"hello", DurabilityPolicy::Strict)?;
 /// drop(wal);
-/// let (wal, recovery) = Wal::open(&dir, 1024, FsyncPolicy::Always)?;
+/// let (wal, recovery) = Wal::open(&dir, 1024)?;
 /// assert_eq!(recovery.records, vec![b"hello".to_vec()]);
 /// assert_eq!(recovery.truncated_bytes, 0);
 /// drop(wal);
@@ -548,7 +501,6 @@ fn clear_spares(dir: &Path) -> std::io::Result<()> {
 /// ```
 pub struct Wal {
     dir: PathBuf,
-    policy: FsyncPolicy,
     shared: Arc<Shared>,
     flusher: Option<JoinHandle<()>>,
 }
@@ -561,11 +513,7 @@ impl Wal {
     ///
     /// Returns [`WalError::Io`] if the directory cannot be created or
     /// already contains segment files.
-    pub fn create(
-        dir: impl AsRef<Path>,
-        segment_bytes: u64,
-        policy: FsyncPolicy,
-    ) -> Result<Self, WalError> {
+    pub fn create(dir: impl AsRef<Path>, segment_bytes: u64) -> Result<Self, WalError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         if !list_segments(&dir)?.is_empty() {
@@ -575,7 +523,7 @@ impl Wal {
             )));
         }
         clear_spares(&dir)?;
-        let segment_bytes = segment_bytes.max(FRAME_HEADER as u64 + 1);
+        let segment_bytes = segment_bytes.max(frame::HEADER as u64 + 1);
         let first = OpenOptions::new()
             .create_new(true)
             .write(true)
@@ -584,7 +532,7 @@ impl Wal {
             first.set_len(segment_bytes)?;
         }
         drop(first);
-        Ok(Wal::start(dir, segment_bytes, policy, 0, 0, 1))
+        Ok(Wal::start(dir, segment_bytes, 0, 0, 1))
     }
 
     /// Opens an existing WAL, verifying every record. Sealed segments must
@@ -599,14 +547,13 @@ impl Wal {
     pub fn open(
         dir: impl AsRef<Path>,
         segment_bytes: u64,
-        policy: FsyncPolicy,
     ) -> Result<(Self, WalRecovery), WalError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         clear_spares(&dir)?;
         let segments = list_segments(&dir)?;
         if segments.is_empty() {
-            let wal = Wal::create(&dir, segment_bytes, policy)?;
+            let wal = Wal::create(&dir, segment_bytes)?;
             return Ok((wal, WalRecovery::default()));
         }
         let mut recovery = WalRecovery {
@@ -618,37 +565,36 @@ impl Wal {
         for (i, (index, path)) in segments.iter().enumerate() {
             let mut bytes = Vec::new();
             File::open(path)?.read_to_end(&mut bytes)?;
-            let scan = scan_segment(&bytes);
-            if scan.valid_len < scan.file_len {
-                let tail_is_padding = bytes[scan.valid_len as usize..].iter().all(|b| *b == 0);
+            let (records, valid_len) = scan_segment(&bytes);
+            if valid_len < bytes.len() {
+                let tail_is_padding = bytes[valid_len..].iter().all(|b| *b == 0);
                 if tail_is_padding {
                     // Preallocation padding past the last record — clean.
                 } else if i < last {
                     return Err(WalError::Corrupt {
                         segment: segment_name(*index),
-                        offset: scan.valid_len,
+                        offset: valid_len as u64,
                     });
                 } else {
                     // Torn or corrupt tail of the active segment: truncate
                     // back to the last valid record so appends continue
                     // cleanly.
-                    recovery.truncated_bytes = scan.file_len - scan.valid_len;
+                    recovery.truncated_bytes = (bytes.len() - valid_len) as u64;
                     let f = OpenOptions::new().write(true).open(path)?;
-                    f.set_len(scan.valid_len)?;
+                    f.set_len(valid_len as u64)?;
                     f.sync_all()?;
                 }
             }
             if i == last {
-                last_valid_len = scan.valid_len;
+                last_valid_len = valid_len as u64;
             }
-            recovery.records.extend(scan.records);
+            recovery.records.extend(records);
         }
-        let segment_bytes = segment_bytes.max(FRAME_HEADER as u64 + 1);
+        let segment_bytes = segment_bytes.max(frame::HEADER as u64 + 1);
         let active_index = segments[last].0;
         let wal = Wal::start(
             dir,
             segment_bytes,
-            policy,
             active_index,
             last_valid_len,
             segments.len() as u64,
@@ -669,7 +615,6 @@ impl Wal {
     fn start(
         dir: PathBuf,
         segment_bytes: u64,
-        policy: FsyncPolicy,
         staging_segment: u64,
         staging_offset: u64,
         segment_count: u64,
@@ -714,7 +659,6 @@ impl Wal {
         };
         Wal {
             dir,
-            policy,
             shared,
             flusher: Some(flusher),
         }
@@ -759,105 +703,9 @@ impl Wal {
         }
     }
 
-    /// Applies the legacy [`FsyncPolicy`] after records landed in staging.
-    /// Returns whether the caller must block for durability.
-    fn apply_policy(&self, g: &mut State) -> bool {
-        let rotate_pending = g.staging_offset + g.staging.len() as u64 >= g.segment_bytes;
-        match self.policy {
-            FsyncPolicy::Always => {
-                promote_locked(g, true, false);
-                true
-            }
-            FsyncPolicy::Interval(n) => {
-                if g.staging_records >= n.max(1) || rotate_pending {
-                    promote_locked(g, true, false);
-                }
-                false
-            }
-            FsyncPolicy::GroupCommit {
-                max_records,
-                max_delay,
-            } => {
-                if g.staging_records >= max_records.max(1) || rotate_pending {
-                    promote_locked(g, true, false);
-                } else {
-                    let d = wall_now() + max_delay;
-                    g.staging_deadline = Some(match g.staging_deadline {
-                        Some(cur) => cur.min(d),
-                        None => d,
-                    });
-                }
-                false
-            }
-            FsyncPolicy::Never => {
-                promote_locked(g, false, false);
-                false
-            }
-        }
-    }
-
-    /// Appends one record, framing it with length and CRC, honouring the
-    /// fsync policy, and rotating the segment past the byte threshold.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WalError::Io`] if the write (or a policy-mandated fsync)
-    /// fails, or if `body` is empty.
-    pub fn append(&mut self, body: &[u8]) -> Result<(), WalError> {
-        Self::reject_empty(body)?;
-        let (idx, wait) = {
-            let mut g = self.lock();
-            Self::check_error(&g)?;
-            let idx = stage(&mut g, body);
-            let wait = self.apply_policy(&mut g);
-            self.shared.work.notify_one();
-            (idx, wait)
-        };
-        if wait {
-            self.wait_durable(idx)?;
-        }
-        Ok(())
-    }
-
-    /// Appends a whole batch of records with **one** staged window,
-    /// applying the fsync policy once for the batch and checking the
-    /// rotation threshold once at the end (never mid-batch): a batch that
-    /// straddles the threshold seals exactly one segment. Returns the
-    /// number of records appended.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WalError::Io`] if the write (or a policy-mandated fsync)
-    /// fails, or if any body is empty.
-    pub fn append_all<'a, I>(&mut self, bodies: I) -> Result<u32, WalError>
-    where
-        I: IntoIterator<Item = &'a [u8]>,
-    {
-        let (idx, count, wait) = {
-            let mut g = self.lock();
-            Self::check_error(&g)?;
-            let mut count: u32 = 0;
-            for body in bodies {
-                Self::reject_empty(body)?;
-                stage(&mut g, body);
-                count += 1;
-            }
-            if count == 0 {
-                return Ok(0);
-            }
-            let wait = self.apply_policy(&mut g);
-            self.shared.work.notify_one();
-            (g.assigned, count, wait)
-        };
-        if wait {
-            self.wait_durable(idx)?;
-        }
-        Ok(count)
-    }
-
-    /// Appends one record on an explicit durability lane, bypassing the
-    /// log-wide [`FsyncPolicy`]. All lanes share the same segments, so disk
-    /// order is append order across tiers. Returns the record's 1-based
+    /// Appends one record on its durability lane — the only append path.
+    /// All lanes share the same segments, so disk order is append order
+    /// across tiers. Returns the record's 1-based
     /// index within this process's session (compare with
     /// [`Wal::durable_index`]).
     ///
@@ -1037,7 +885,6 @@ impl fmt::Debug for Wal {
             .field("segments", &g.segment_count)
             .field("assigned", &g.assigned)
             .field("durable", &g.durable_index)
-            .field("policy", &self.policy)
             .finish()
     }
 }
@@ -1094,12 +941,12 @@ mod tests {
     fn round_trip_and_reopen() {
         let dir = tmp("roundtrip");
         {
-            let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Always).unwrap();
-            wal.append(b"one").unwrap();
-            wal.append(b"two").unwrap();
-            wal.append(b"three").unwrap();
+            let mut wal = Wal::create(&dir, 4096).unwrap();
+            wal.append_lane(b"one", DurabilityPolicy::Strict).unwrap();
+            wal.append_lane(b"two", DurabilityPolicy::Strict).unwrap();
+            wal.append_lane(b"three", DurabilityPolicy::Strict).unwrap();
         }
-        let (mut wal, rec) = Wal::open(&dir, 4096, FsyncPolicy::Always).unwrap();
+        let (mut wal, rec) = Wal::open(&dir, 4096).unwrap();
         assert_eq!(
             rec.records,
             vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()]
@@ -1107,9 +954,9 @@ mod tests {
         assert_eq!(rec.truncated_bytes, 0);
         assert_eq!(rec.segments, 1);
         // Appends continue after recovery.
-        wal.append(b"four").unwrap();
+        wal.append_lane(b"four", DurabilityPolicy::Strict).unwrap();
         drop(wal);
-        let (_, rec) = Wal::open(&dir, 4096, FsyncPolicy::Always).unwrap();
+        let (_, rec) = Wal::open(&dir, 4096).unwrap();
         assert_eq!(rec.records.len(), 4);
         fs::remove_dir_all(&dir).ok();
     }
@@ -1117,13 +964,13 @@ mod tests {
     #[test]
     fn rotation_seals_segments_at_threshold() {
         let dir = tmp("rotate");
-        let mut wal = Wal::create(&dir, 32, FsyncPolicy::Never).unwrap();
+        let mut wal = Wal::create(&dir, 32).unwrap();
         for i in 1..=10u8 {
-            wal.append(&[i; 16]).unwrap();
+            wal.append_lane(&[i; 16], DurabilityPolicy::Strict).unwrap();
         }
         assert!(wal.segment_count() > 1, "threshold forces rotation");
         drop(wal);
-        let (_, rec) = Wal::open(&dir, 32, FsyncPolicy::Never).unwrap();
+        let (_, rec) = Wal::open(&dir, 32).unwrap();
         assert_eq!(rec.records.len(), 10);
         assert!(rec.segments > 1);
         fs::remove_dir_all(&dir).ok();
@@ -1133,25 +980,27 @@ mod tests {
     fn torn_tail_is_truncated_and_reported() {
         let dir = tmp("torn");
         {
-            let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Always).unwrap();
-            wal.append(b"keep-me").unwrap();
-            wal.append(b"torn-away").unwrap();
+            let mut wal = Wal::create(&dir, 4096).unwrap();
+            wal.append_lane(b"keep-me", DurabilityPolicy::Strict)
+                .unwrap();
+            wal.append_lane(b"torn-away", DurabilityPolicy::Strict)
+                .unwrap();
         }
         let seg = dir.join(segment_name(0));
         let full = fs::metadata(&seg).unwrap().len();
         let f = OpenOptions::new().write(true).open(&seg).unwrap();
         f.set_len(full - 4).unwrap();
         drop(f);
-        let (mut wal, rec) = Wal::open(&dir, 4096, FsyncPolicy::Always).unwrap();
+        let (mut wal, rec) = Wal::open(&dir, 4096).unwrap();
         assert_eq!(rec.records, vec![b"keep-me".to_vec()]);
         assert_eq!(
             rec.truncated_bytes,
-            b"torn-away".len() as u64 + FRAME_HEADER as u64 - 4
+            b"torn-away".len() as u64 + frame::HEADER as u64 - 4
         );
         // The file was physically truncated: a fresh append lands cleanly.
-        wal.append(b"after").unwrap();
+        wal.append_lane(b"after", DurabilityPolicy::Strict).unwrap();
         drop(wal);
-        let (_, rec) = Wal::open(&dir, 4096, FsyncPolicy::Always).unwrap();
+        let (_, rec) = Wal::open(&dir, 4096).unwrap();
         assert_eq!(rec.records, vec![b"keep-me".to_vec(), b"after".to_vec()]);
         fs::remove_dir_all(&dir).ok();
     }
@@ -1160,16 +1009,17 @@ mod tests {
     fn corrupt_tail_of_final_segment_is_truncated() {
         let dir = tmp("crc-tail");
         {
-            let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Always).unwrap();
-            wal.append(b"solid").unwrap();
-            wal.append(b"rotten").unwrap();
+            let mut wal = Wal::create(&dir, 4096).unwrap();
+            wal.append_lane(b"solid", DurabilityPolicy::Strict).unwrap();
+            wal.append_lane(b"rotten", DurabilityPolicy::Strict)
+                .unwrap();
         }
         let seg = dir.join(segment_name(0));
         let mut bytes = fs::read(&seg).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         fs::write(&seg, &bytes).unwrap();
-        let (_, rec) = Wal::open(&dir, 4096, FsyncPolicy::Always).unwrap();
+        let (_, rec) = Wal::open(&dir, 4096).unwrap();
         assert_eq!(rec.records, vec![b"solid".to_vec()]);
         assert!(rec.truncated_bytes > 0);
         fs::remove_dir_all(&dir).ok();
@@ -1178,9 +1028,9 @@ mod tests {
     #[test]
     fn preallocated_padding_is_not_a_torn_tail() {
         let dir = tmp("padding");
-        let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Never).unwrap();
-        wal.append(b"one").unwrap();
-        wal.append(b"two").unwrap();
+        let mut wal = Wal::create(&dir, 4096).unwrap();
+        wal.append_lane(b"one", DurabilityPolicy::Strict).unwrap();
+        wal.append_lane(b"two", DurabilityPolicy::Strict).unwrap();
         wal.sync().unwrap();
         let survived = wal.crash_discard();
         assert_eq!(survived, 2);
@@ -1191,7 +1041,7 @@ mod tests {
             4096,
             "a crash leaves the preallocated padding in place"
         );
-        let (_, rec) = Wal::open(&dir, 4096, FsyncPolicy::Never).unwrap();
+        let (_, rec) = Wal::open(&dir, 4096).unwrap();
         assert_eq!(rec.records, vec![b"one".to_vec(), b"two".to_vec()]);
         assert_eq!(rec.truncated_bytes, 0, "zero padding is not a torn tail");
         fs::remove_dir_all(&dir).ok();
@@ -1201,18 +1051,18 @@ mod tests {
     fn sealed_segment_corruption_is_fatal() {
         let dir = tmp("sealed");
         {
-            let mut wal = Wal::create(&dir, 24, FsyncPolicy::Always).unwrap();
+            let mut wal = Wal::create(&dir, 24).unwrap();
             for i in 1..=6u8 {
-                wal.append(&[i; 16]).unwrap();
+                wal.append_lane(&[i; 16], DurabilityPolicy::Strict).unwrap();
             }
             assert!(wal.segment_count() > 1);
         }
         // Flip a byte in the FIRST (sealed) segment's first record body.
         let seg = dir.join(segment_name(0));
         let mut bytes = fs::read(&seg).unwrap();
-        bytes[FRAME_HEADER + 2] ^= 0x01;
+        bytes[frame::HEADER + 2] ^= 0x01;
         fs::write(&seg, &bytes).unwrap();
-        match Wal::open(&dir, 24, FsyncPolicy::Always) {
+        match Wal::open(&dir, 24) {
             Err(WalError::Corrupt { segment, offset }) => {
                 assert_eq!(segment, segment_name(0));
                 assert_eq!(offset, 0);
@@ -1223,59 +1073,9 @@ mod tests {
     }
 
     #[test]
-    fn interval_policy_stages_between_syncs() {
-        let dir = tmp("interval");
-        let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Interval(3)).unwrap();
-        for _ in 0..7 {
-            wal.append(b"x").unwrap();
-        }
-        // 7 appends, windows promoted at 3 and 6: one record still staged.
-        assert_eq!(wal.staged_records(), 1);
-        wal.sync().unwrap();
-        assert_eq!(wal.staged_records(), 0);
-        assert_eq!(wal.durable_index(), 7);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn group_commit_syncs_at_max_records() {
-        let dir = tmp("group-records");
-        let policy = FsyncPolicy::GroupCommit {
-            max_records: 4,
-            max_delay: Duration::from_secs(3600),
-        };
-        let mut wal = Wal::create(&dir, 4096, policy).unwrap();
-        for _ in 0..3 {
-            wal.append(b"x").unwrap();
-        }
-        assert_eq!(wal.staged_records(), 3, "window still open");
-        wal.append(b"x").unwrap();
-        assert_eq!(wal.staged_records(), 0, "fourth append closed the window");
-        wait_for("group-commit fsync", || wal.durable_index() == 4);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn group_commit_syncs_after_max_delay() {
-        let dir = tmp("group-delay");
-        let policy = FsyncPolicy::GroupCommit {
-            max_records: 1_000_000,
-            max_delay: Duration::from_millis(10),
-        };
-        let mut wal = Wal::create(&dir, 4096, policy).unwrap();
-        wal.append(b"opens-the-window").unwrap();
-        assert_eq!(wal.staged_records(), 1);
-        // The flusher's own deadline timer forces the sync — no second
-        // append is needed.
-        wait_for("deadline fsync", || wal.durable_index() == 1);
-        assert_eq!(wal.staged_records(), 0);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn strict_lane_blocks_until_durable() {
         let dir = tmp("strict");
-        let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Never).unwrap();
+        let mut wal = Wal::create(&dir, 4096).unwrap();
         let idx = wal
             .append_lane(b"ledger", DurabilityPolicy::Strict)
             .unwrap();
@@ -1294,7 +1094,7 @@ mod tests {
         let buffered = DurabilityPolicy::Buffered {
             flush_window: Duration::from_secs(3600),
         };
-        let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Never).unwrap();
+        let mut wal = Wal::create(&dir, 4096).unwrap();
         wal.append_lane(b"buffered-1", buffered).unwrap();
         wal.append_lane(b"buffered-2", buffered).unwrap();
         assert_eq!(wal.staged_records(), 2);
@@ -1307,7 +1107,7 @@ mod tests {
             "the strict fsync carried the riding buffered records with it"
         );
         drop(wal);
-        let (_, rec) = Wal::open(&dir, 4096, FsyncPolicy::Never).unwrap();
+        let (_, rec) = Wal::open(&dir, 4096).unwrap();
         assert_eq!(
             rec.records,
             vec![
@@ -1326,7 +1126,7 @@ mod tests {
         let buffered = DurabilityPolicy::Buffered {
             flush_window: Duration::from_secs(3600),
         };
-        let mut wal = Wal::create(&dir, 1 << 24, FsyncPolicy::Never).unwrap();
+        let mut wal = Wal::create(&dir, 1 << 24).unwrap();
         for _ in 0..BUFFERED_MAX_RECORDS {
             wal.append_lane(b"x", buffered).unwrap();
         }
@@ -1343,7 +1143,7 @@ mod tests {
         let buffered = DurabilityPolicy::Buffered {
             flush_window: Duration::from_millis(10),
         };
-        let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Never).unwrap();
+        let mut wal = Wal::create(&dir, 4096).unwrap();
         wal.append_lane(b"hot-path", buffered).unwrap();
         assert_eq!(wal.staged_records(), 1, "buffered append returns open");
         wait_for("flush-window fsync", || wal.durable_index() == 1);
@@ -1356,14 +1156,15 @@ mod tests {
         let buffered = DurabilityPolicy::Buffered {
             flush_window: Duration::from_secs(3600),
         };
-        let mut wal = Wal::create(&dir, u64::MAX, FsyncPolicy::Never).unwrap();
-        wal.append(b"written").unwrap();
+        let mut wal = Wal::create(&dir, u64::MAX).unwrap();
+        wal.append_lane(b"written", DurabilityPolicy::Strict)
+            .unwrap();
         wal.sync().unwrap();
         wal.append_lane(b"still-staged", buffered).unwrap();
         let survived = wal.crash_discard();
         assert_eq!(survived, 1, "the open window never reached the kernel");
         drop(wal);
-        let (_, rec) = Wal::open(&dir, u64::MAX, FsyncPolicy::Never).unwrap();
+        let (_, rec) = Wal::open(&dir, u64::MAX).unwrap();
         assert_eq!(rec.records, vec![b"written".to_vec()]);
         fs::remove_dir_all(&dir).ok();
     }
@@ -1371,21 +1172,24 @@ mod tests {
     #[test]
     fn in_memory_lane_is_refused() {
         let dir = tmp("in-memory");
-        let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Never).unwrap();
+        let mut wal = Wal::create(&dir, 4096).unwrap();
         assert!(matches!(
             wal.append_lane(b"x", DurabilityPolicy::InMemory),
             Err(WalError::Io(_))
         ));
-        assert!(matches!(wal.append(b""), Err(WalError::Io(_))));
+        assert!(matches!(
+            wal.append_lane(b"", DurabilityPolicy::Strict),
+            Err(WalError::Io(_))
+        ));
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn rotation_maintains_a_preallocated_spare() {
         let dir = tmp("spare");
-        let mut wal = Wal::create(&dir, 32, FsyncPolicy::Never).unwrap();
+        let mut wal = Wal::create(&dir, 32).unwrap();
         for i in 1..=4u8 {
-            wal.append(&[i; 16]).unwrap();
+            wal.append_lane(&[i; 16], DurabilityPolicy::Strict).unwrap();
         }
         wal.sync().unwrap();
         assert!(wal.segment_count() > 1, "rotation happened");
@@ -1408,58 +1212,14 @@ mod tests {
     }
 
     #[test]
-    fn append_all_writes_once_and_recovers() {
-        let dir = tmp("append-all");
-        let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Always).unwrap();
-        let bodies: Vec<&[u8]> = vec![b"one", b"two", b"three"];
-        assert_eq!(wal.append_all(bodies).unwrap(), 3);
-        assert_eq!(
-            wal.append_all(std::iter::empty()).unwrap(),
-            0,
-            "empty batch"
-        );
-        drop(wal);
-        let (_, rec) = Wal::open(&dir, 4096, FsyncPolicy::Always).unwrap();
-        assert_eq!(
-            rec.records,
-            vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()]
-        );
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn batch_straddling_rotation_threshold_seals_exactly_one_segment() {
-        let dir = tmp("straddle");
-        // Threshold 64 bytes; the batch carries 10 × (16 + 8) = 240 bytes —
-        // several thresholds' worth — yet rotation is checked once, after
-        // the batch, so exactly one segment seals.
-        let mut wal = Wal::create(&dir, 64, FsyncPolicy::Never).unwrap();
-        let body = [7u8; 16];
-        let bodies: Vec<&[u8]> = (0..10).map(|_| &body[..]).collect();
-        assert_eq!(wal.append_all(bodies).unwrap(), 10);
-        assert_eq!(
-            wal.segment_count(),
-            2,
-            "one sealed segment + the fresh active one"
-        );
-        drop(wal);
-        let (_, rec) = Wal::open(&dir, 64, FsyncPolicy::Never).unwrap();
-        assert_eq!(rec.records.len(), 10, "every record of the batch survives");
-        assert_eq!(rec.segments, 2);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn create_refuses_populated_directory() {
         let dir = tmp("refuse");
         {
-            let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Never).unwrap();
-            wal.append(b"existing").unwrap();
+            let mut wal = Wal::create(&dir, 4096).unwrap();
+            wal.append_lane(b"existing", DurabilityPolicy::Strict)
+                .unwrap();
         }
-        assert!(matches!(
-            Wal::create(&dir, 4096, FsyncPolicy::Never),
-            Err(WalError::Io(_))
-        ));
+        assert!(matches!(Wal::create(&dir, 4096), Err(WalError::Io(_))));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -404,12 +404,11 @@ fn same_engine_can_fail_and_recover_repeatedly() {
 #[test]
 fn file_backed_log_survives_a_cold_restart() {
     let dir = std::env::temp_dir().join(format!("tart-cluster-log-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("external.log");
+    std::fs::remove_dir_all(&dir).ok();
 
     // Run a workload with the external log on stable storage.
     let spec = fan_in_app(2).expect("valid app");
-    let config = paper_config(&spec).with_log_file(&path);
+    let config = paper_config(&spec).with_durability(&dir, tart_engine::DurabilityPolicy::Strict);
     let cluster =
         Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).expect("deploys");
     let mut stamped = Vec::new();
@@ -427,7 +426,8 @@ fn file_backed_log_survives_a_cold_restart() {
     // Cold restart: the process is gone; the log is recoverable from disk
     // with every timestamped external message intact (§II.E's stable
     // storage option).
-    let recovered = tart_engine::MessageLog::recover(&path).expect("log recovers");
+    let (recovered, _) =
+        tart_engine::MessageLog::durable(dir.join("wal"), 1 << 20).expect("log recovers");
     assert_eq!(recovered.len(), SENTENCES.len());
     let wires: Vec<_> = spec.external_inputs().iter().map(|w| w.id()).collect();
     let mut replayed = 0;

@@ -12,11 +12,12 @@
 //! the restart point and the crash instant.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 use tart_engine::{
-    ChaosOptions, ChaosPlan, Cluster, ClusterConfig, DeployError, DurabilityConfig, FsyncPolicy,
-    OutputRecord, Placement,
+    ChaosOptions, ChaosPlan, Cluster, ClusterConfig, DeployError, DurabilityConfig,
+    DurabilityPolicy, OutputRecord, Placement, RealClock,
 };
 use tart_estimator::EstimatorSpec;
 use tart_model::reference::{self, fan_in_app};
@@ -95,7 +96,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// outputs had surfaced before the lights went out.
 fn run_and_crash(dir: &Path, upto: usize) -> Vec<OutputRecord> {
     let spec = fan_in_app(2).expect("valid app");
-    let config = paper_config(&spec).with_durability(dir, FsyncPolicy::Always);
+    let config = paper_config(&spec).with_durability(dir, DurabilityPolicy::Strict);
     let cluster =
         Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).expect("deploys");
     for (client, sentence) in &SENTENCES[..upto] {
@@ -120,13 +121,13 @@ fn recover_and_finish(
     dir: &Path,
     resume_at: usize,
 ) -> (tart_engine::RecoveryReport, Vec<OutputRecord>) {
-    recover_and_finish_with(dir, FsyncPolicy::Always, resume_at)
+    recover_and_finish_with(dir, DurabilityPolicy::Strict, resume_at)
 }
 
-/// [`recover_and_finish`] under an explicit fsync policy.
+/// [`recover_and_finish`] under an explicit default tier.
 fn recover_and_finish_with(
     dir: &Path,
-    policy: FsyncPolicy,
+    policy: DurabilityPolicy,
     resume_at: usize,
 ) -> (tart_engine::RecoveryReport, Vec<OutputRecord>) {
     let spec = fan_in_app(2).expect("valid app");
@@ -148,7 +149,7 @@ fn recover_and_finish_with(
 fn clean_durable_run_is_transparent() {
     let dir = fresh_dir("clean");
     let spec = fan_in_app(2).expect("valid app");
-    let config = paper_config(&spec).with_durability(&dir, FsyncPolicy::Always);
+    let config = paper_config(&spec).with_durability(&dir, DurabilityPolicy::Strict);
     let cluster =
         Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).expect("deploys");
     for (client, sentence) in SENTENCES {
@@ -258,9 +259,8 @@ fn cold_restart_truncates_torn_group_commit_tail() {
     // re-send the lost batch.
     let dir = fresh_dir("torn-group");
     let crash_at = 6;
-    let group = FsyncPolicy::GroupCommit {
-        max_records: 4,
-        max_delay: Duration::from_millis(5),
+    let group = DurabilityPolicy::Buffered {
+        flush_window: Duration::from_millis(5),
     };
     let spec = fan_in_app(2).expect("valid app");
     let config = paper_config(&spec).with_durability(&dir, group);
@@ -380,7 +380,7 @@ fn cold_restart_survives_losing_a_delta_chain_base() {
     // on-disk chain shape is deterministic. Full every 2nd checkpoint.
     let config = paper_config(&spec)
         .with_checkpoint_every(100_000)
-        .with_durability(&dir, FsyncPolicy::Always)
+        .with_durability(&dir, DurabilityPolicy::Strict)
         .with_full_checkpoint_every(2);
     let cluster =
         Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).expect("deploys");
@@ -450,7 +450,7 @@ fn deploy_refuses_a_populated_durability_dir() {
     let dir = fresh_dir("refuse");
     let _ = run_and_crash(&dir, 2);
     let spec = fan_in_app(2).expect("valid app");
-    let config = paper_config(&spec).with_durability(&dir, FsyncPolicy::Always);
+    let config = paper_config(&spec).with_durability(&dir, DurabilityPolicy::Strict);
     let err = Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).unwrap_err();
     assert_eq!(
         err,
@@ -491,7 +491,7 @@ fn seeded_disk_faults_cannot_break_cold_restart() {
         let applied = plan.apply_disk_faults(&dir).expect("fault surgery");
 
         let spec = fan_in_app(2).expect("valid app");
-        let config = paper_config(&spec).with_durability(&dir, FsyncPolicy::Always);
+        let config = paper_config(&spec).with_durability(&dir, DurabilityPolicy::Strict);
         let (cluster, report) =
             Cluster::recover_from_disk(spec.clone(), two_engine_placement(&spec), config)
                 .unwrap_or_else(|e| {
@@ -536,7 +536,7 @@ fn sealed_segment_rot_is_refused() {
     let mut config = paper_config(&spec);
     config.durability = Some(DurabilityConfig {
         wal_segment_bytes: 64,
-        ..DurabilityConfig::new(dir.clone(), FsyncPolicy::Always)
+        ..DurabilityConfig::new(dir.clone(), DurabilityPolicy::Strict)
     });
     let cluster = Cluster::deploy(spec.clone(), two_engine_placement(&spec), config.clone())
         .expect("deploys");
@@ -572,7 +572,7 @@ fn losing_the_checkpoint_dir_mid_run_degrades_gracefully() {
     // stop advancing — retention grows, but outputs stay correct.
     let dir = fresh_dir("degrade");
     let spec = fan_in_app(2).expect("valid app");
-    let config = paper_config(&spec).with_durability(&dir, FsyncPolicy::Always);
+    let config = paper_config(&spec).with_durability(&dir, DurabilityPolicy::Strict);
     let cluster =
         Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).expect("deploys");
     for (client, sentence) in &SENTENCES[..5] {
@@ -618,15 +618,13 @@ fn mixed_tier_crash_reports_and_recovers_per_component_loss() {
     // the producer re-drives only the lost tail, and the deduplicated
     // outputs converge to the failure-free run — a Buffered record is never
     // applied twice, a Strict record never lost.
-    use tart_engine::DurabilityPolicy;
     let dir = fresh_dir("mixed-tier");
     let spec = fan_in_app(2).expect("valid app");
     let strict = component_id(&spec, "Sender1");
     let buffered = component_id(&spec, "Sender2");
     let tiered = |spec: &AppSpec| {
         paper_config(spec)
-            .with_durability(&dir, FsyncPolicy::Always)
-            .with_default_tier(DurabilityPolicy::Strict)
+            .with_durability(&dir, DurabilityPolicy::Strict)
             .with_component_tier(
                 buffered,
                 DurabilityPolicy::Buffered {
@@ -677,7 +675,7 @@ fn mixed_tier_crash_reports_and_recovers_per_component_loss() {
     };
     let client1_sends = SENTENCES.iter().filter(|(c, _)| *c == "client1").count() as u64;
     let client2_sends = SENTENCES.len() as u64 - client1_sends;
-    assert_eq!(recovered(strict).tier, Some(DurabilityPolicy::Strict));
+    assert_eq!(recovered(strict).tier, DurabilityPolicy::Strict);
     assert_eq!(recovered(strict).recovered_inputs, client1_sends);
     assert!(!recovered(strict).replay_from_peers_only);
     assert_eq!(
@@ -714,12 +712,10 @@ fn in_memory_component_recovers_via_peer_replay_byte_identically() {
     // failure is still transparent: the passive replica restores state and
     // peer replay (the in-process message log and upstream retention)
     // regenerates the gap, byte-identically.
-    use tart_engine::{DurabilityPolicy, Wal};
+    use tart_engine::Wal;
     let dir = fresh_dir("inmem-tier");
     let spec = fan_in_app(2).expect("valid app");
-    let config = paper_config(&spec)
-        .with_durability(&dir, FsyncPolicy::Always)
-        .with_default_tier(DurabilityPolicy::InMemory);
+    let config = paper_config(&spec).with_durability(&dir, DurabilityPolicy::InMemory);
     let mut cluster =
         Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).expect("deploys");
     for (client, sentence) in &SENTENCES[..6] {
@@ -753,8 +749,7 @@ fn in_memory_component_recovers_via_peer_replay_byte_identically() {
     );
     // And the disk really was left out of it: the WAL holds zero records
     // and the checkpoint store persisted zero generations.
-    let (wal, recovery) =
-        Wal::open(dir.join("wal"), 1 << 20, FsyncPolicy::Always).expect("reopen wal");
+    let (wal, recovery) = Wal::open(dir.join("wal"), 1 << 20).expect("reopen wal");
     drop(wal);
     assert_eq!(
         recovery.records.len(),
@@ -793,6 +788,69 @@ fn undrained_outputs_survive_a_crash_after_a_durable_checkpoint() {
         normalize(outs),
         failure_free_run(),
         "recovery alone must re-emit every output the consumer never drained"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fresh_real_clock_stamps_past_the_log_after_cold_restart() {
+    // A relaunched process gets a fresh wall clock whose tick zero is the
+    // relaunch, far behind the inputs the crashed run logged. Recovery
+    // must move it past the log: otherwise a new send is stamped behind
+    // inputs already logged on *other* wires and merges out of send order.
+    let dir = fresh_dir("real-clock");
+    let spec = fan_in_app(2).expect("valid app");
+    let crash_at = 6;
+    let real_time = || ClusterConfig {
+        clock: Arc::new(RealClock::new()),
+        ..paper_config(&spec).with_durability(&dir, DurabilityPolicy::Strict)
+    };
+    let send = |cluster: &Cluster, sentences: &[(&str, &str)]| -> Vec<tart_vtime::VirtualTime> {
+        sentences
+            .iter()
+            .map(|(client, sentence)| {
+                // Real stamps spaced wider than any handler cost keep merge
+                // order equal to send order, as the reference's 1 ms
+                // logical clock does.
+                std::thread::sleep(Duration::from_millis(2));
+                cluster
+                    .injector(client)
+                    .expect("injector")
+                    .send(Value::from(*sentence))
+            })
+            .collect()
+    };
+
+    let cluster =
+        Cluster::deploy(spec.clone(), two_engine_placement(&spec), real_time()).expect("deploys");
+    let logged = send(&cluster, &SENTENCES[..crash_at]);
+    std::thread::sleep(Duration::from_millis(150));
+    let pre = cluster.crash();
+
+    let (cluster, report) =
+        Cluster::recover_from_disk(spec.clone(), two_engine_placement(&spec), real_time())
+            .expect("recovers");
+    assert_eq!(report.wal_records, crash_at, "every logged send recovered");
+    let fresh = send(&cluster, &SENTENCES[crash_at..]);
+    cluster.finish_inputs();
+    let post = cluster.shutdown();
+
+    let newest_logged = *logged.iter().max().expect("inputs were logged");
+    for vt in &fresh {
+        assert!(
+            *vt > newest_logged,
+            "post-recovery stamp {vt} is not past the newest logged input {newest_logged}"
+        );
+    }
+    // Real stamps differ from the reference's logical ones, so compare what
+    // the merger computed, in virtual-time order.
+    let payloads = |outs: Vec<(u64, String)>| outs.into_iter().map(|(_, p)| p).collect::<Vec<_>>();
+    let mut all = pre;
+    all.extend(post);
+    assert_eq!(
+        payloads(normalize(all)),
+        payloads(failure_free_run()),
+        "crash + cold restart on a fresh real clock must be invisible after dedup"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,6 +1,6 @@
 //! Property tests of the TCP frame codec: every envelope kind round-trips
-//! through `write_frame`/`read_frame` (and batches of them through
-//! `write_batch`/`read_batch`), and *no* truncation of a valid frame can
+//! through `write_batch`/`read_batch` (alone, as a batch of one, and in
+//! batches of many), and *no* truncation of a valid frame can
 //! ever decode into a wrong envelope — the reader either reports a torn
 //! frame (`UnexpectedEof`), corruption (`InvalidData`), or a clean EOF at a
 //! frame boundary. A batch shares one CRC, so damage anywhere rejects
@@ -10,7 +10,7 @@ use std::io::ErrorKind;
 
 use bytes::BytesMut;
 use proptest::prelude::*;
-use tart_engine::net::{read_batch, read_frame, write_batch, write_frame};
+use tart_engine::net::{read_batch, write_batch};
 use tart_engine::Envelope;
 use tart_estimator::EstimatorSpec;
 use tart_model::{BlockId, Value};
@@ -99,6 +99,14 @@ fn arb_envelope() -> impl Strategy<Value = Envelope> {
     ]
 }
 
+/// Writes `env` to `target` as a one-envelope batch frame.
+fn write_one(target: EngineId, env: &Envelope) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let batch = [(target, env.clone())];
+    write_batch(&mut buf, &batch, &mut BytesMut::new()).expect("write to memory");
+    buf
+}
+
 /// A batch of envelopes with arbitrary per-envelope targets.
 fn arb_batch() -> impl Strategy<Value = Vec<(EngineId, Envelope)>> {
     proptest::collection::vec(
@@ -112,12 +120,11 @@ proptest! {
     #[test]
     fn frames_round_trip(target in 0u32..1_000, env in arb_envelope()) {
         let target = EngineId::new(target);
-        let mut buf = Vec::new();
-        write_frame(&mut buf, target, &env).expect("write to memory");
+        let buf = write_one(target, &env);
         let mut cursor = &buf[..];
-        let decoded = read_frame(&mut cursor).expect("valid frame decodes");
-        prop_assert_eq!(decoded, Some((target, env)));
-        prop_assert_eq!(read_frame(&mut cursor).expect("clean tail"), None);
+        let decoded = read_batch(&mut cursor).expect("valid frame decodes");
+        prop_assert_eq!(decoded, Some(vec![(target, env)]));
+        prop_assert_eq!(read_batch(&mut cursor).expect("clean tail"), None);
     }
 
     /// Truncating a frame at *every* byte offset yields a clean EOF (cut at
@@ -129,11 +136,10 @@ proptest! {
         env in arb_envelope(),
     ) {
         let target = EngineId::new(target);
-        let mut buf = Vec::new();
-        write_frame(&mut buf, target, &env).expect("write to memory");
+        let buf = write_one(target, &env);
         for cut in 0..buf.len() {
             let mut cursor = &buf[..cut];
-            match read_frame(&mut cursor) {
+            match read_batch(&mut cursor) {
                 Ok(None) => prop_assert_eq!(cut, 0, "clean EOF only at the boundary"),
                 Ok(Some(decoded)) => prop_assert!(
                     false,
@@ -160,13 +166,12 @@ proptest! {
         pos_seed in any::<u64>(),
     ) {
         let target = EngineId::new(target);
-        let mut buf = Vec::new();
-        write_frame(&mut buf, target, &env).expect("write to memory");
+        let mut buf = write_one(target, &env);
         let pos = (pos_seed % buf.len() as u64) as usize;
         let flip = if flip_byte == 0 { 0xff } else { flip_byte };
         buf[pos] ^= flip;
         let mut cursor = &buf[..];
-        match read_frame(&mut cursor) {
+        match read_batch(&mut cursor) {
             Ok(Some(decoded)) => prop_assert!(
                 false,
                 "corrupt frame (byte {pos} ^ {flip:#04x}) decoded {decoded:?}"

@@ -82,7 +82,7 @@ pub struct ObsSnapshot {
     /// Wall-clock latency of WAL fsyncs forced by Strict-tier appends, ns.
     pub wal_fsync_strict_ns: Histogram,
     /// Wall-clock latency of every other WAL fsync (flush-window deadlines,
-    /// record caps, legacy policies), ns.
+    /// record caps, explicit syncs, rotation), ns.
     pub wal_fsync_buffered_ns: Histogram,
     /// Wall-clock latency of `CheckpointStore::persist`, ns.
     pub checkpoint_persist_ns: Histogram,
